@@ -90,6 +90,11 @@ impl Frontend {
         }
     }
 
+    /// The program this frontend executes.
+    pub(crate) fn program(&self) -> &Program {
+        &self.program
+    }
+
     /// Whether the program has fully executed.
     pub fn is_done(&self) -> bool {
         matches!(self.state, FeState::Done)

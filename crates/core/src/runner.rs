@@ -404,9 +404,6 @@ pub struct System {
     /// Liveness watchdog window: trip when no core makes forward progress
     /// for this much simulated time. Defaults on (1 ms) in fault mode.
     pub(crate) watchdog: Option<Time>,
-    /// The programs loaded at construction, kept so the sharded runner can
-    /// rebuild per-partition frontends.
-    pub(crate) programs: Vec<Program>,
     /// Fault spec as installed (plan + transport config), kept so partitions
     /// can mirror it.
     pub(crate) fault_spec: Option<(FaultPlan, TransportConfig)>,
@@ -494,8 +491,8 @@ impl System {
         let mut queue = EventQueue::with_capacity(4 * count);
         let mut fes = Vec::with_capacity(count);
         let mut engines = Vec::with_capacity(count);
-        for (i, p) in programs.iter().enumerate() {
-            let fe = Frontend::new(p.clone(), &cfg.costs);
+        for (i, p) in programs.into_iter().enumerate() {
+            let fe = Frontend::new(p, &cfg.costs);
             let FeAction::StepAt { at, gen } = fe.initial_action();
             queue.push(
                 at,
@@ -527,7 +524,6 @@ impl System {
             tracer: Tracer::disabled(),
             xport: None,
             watchdog: None,
-            programs,
             fault_spec: None,
             sim_threads: None,
             part: None,

@@ -241,7 +241,10 @@ fn make_partition(parent: &System, host: u32) -> System {
     let mut s = System::build(
         parent.cfg.clone(),
         parent.noc.fork(),
-        parent.programs[lo..lo + tph as usize].to_vec(),
+        parent.fes[lo..lo + tph as usize]
+            .iter()
+            .map(|fe| fe.program().clone())
+            .collect(),
         host * tph,
     );
     // `System::build` never consults the environment (CORD_SIM_THREADS,

@@ -9,26 +9,29 @@
 //! pending events live in an array of power-of-two "day" buckets indexed by
 //! `(timestamp / bucket_width) % nbuckets`, so enqueue is an append and
 //! dequeue scans forward from the current day instead of percolating through
-//! a heap. Two refinements adapt the classic design to the simulator's
+//! a heap. Three refinements adapt the classic design to the simulator's
 //! workload:
 //!
-//! * **Cohort staging** — when the head timestamp is popped, *all* events at
-//!   that exact timestamp are extracted from their bucket in one
-//!   order-preserving pass and served from a staging stack. Same-timestamp
-//!   bursts (the common case in a synchronous mesh: one store fans out into
-//!   acks, wakeups and directory steps at the same picosecond) therefore
-//!   cost O(burst) total instead of O(burst · log n), and
-//!   [`pop_if_at`](EventQueue::pop_if_at) is a branch plus a `Vec::pop`.
+//! * **Sorted active day** — when the first pop reaches a day, that day's
+//!   bucket is sorted once by `(time, seq)`, descending, and every later pop
+//!   in the day is a `Vec::pop` off its end. A busy day holds dozens of
+//!   distinct picosecond timestamps; they share that one sort instead of
+//!   each paying a pass over the bucket. Appends arrive as ascending runs,
+//!   which the stable sort handles in linear time, so a pop costs O(1)
+//!   amortised. A push into the day being drained is a binary-search
+//!   insert. [`pop_if_at`](EventQueue::pop_if_at) is a cached-head compare
+//!   plus the same pop.
+//! * **Drained days release their storage** — a bucket that empties gives
+//!   back any allocation beyond a few entries, so the queue's memory follows
+//!   the number of pending events rather than the busiest day ever seen.
 //! * **Far rung** — events scheduled beyond the calendar's horizon
 //!   (retransmission timers, degradation windows) go to an overflow rung and
-//!   migrate into the calendar only when the scan approaches their day, so
-//!   sparse far-future timers never slow down the dense near-term scan.
+//!   migrate into the calendar only when the scan reaches their timestamp,
+//!   so sparse far-future timers never slow down the dense near-term scan.
 //!
 //! Dequeue order is exactly `(time, insertion seq)` — identical to the
 //! previous `BinaryHeap` implementation, which the property tests in
 //! `crates/sim/tests` pin against a reference heap.
-
-use std::collections::VecDeque;
 
 use crate::time::Time;
 
@@ -40,6 +43,8 @@ const WIDTH_SHIFT: u32 = 12;
 const INIT_BUCKETS: usize = 256;
 /// Hard ceiling on bucket growth.
 const MAX_BUCKETS: usize = 1 << 20;
+/// Entries a drained bucket may keep allocated; anything larger is freed.
+const RETAIN_CAP: usize = 8;
 
 /// A priority queue of `(Time, E)` events with deterministic FIFO tie-breaking.
 ///
@@ -66,28 +71,20 @@ pub struct EventQueue<E> {
     mask: u64,
     /// No bucket-resident event has a day earlier than this.
     cur_day: u64,
+    /// Whether `cur_day`'s bucket is sorted by `(time, seq)` descending —
+    /// set by the first pop in the day, cleared by anything that appends to
+    /// the bucket out of order (growth, far-rung migration).
+    sorted: bool,
     /// Overflow rung for events at/beyond the calendar horizon.
     far: Vec<Entry<E>>,
     /// Earliest timestamp in `far` (`Time::MAX` when empty).
     far_min: Time,
-    /// Current same-timestamp cohort, sorted by seq **descending** so the
-    /// next event out is a `Vec::pop`.
-    staging: Vec<(u64, E)>,
-    /// Events pushed at the staged timestamp while the cohort drains; their
-    /// seqs all exceed the staged ones, so FIFO order is append order.
-    overflow: VecDeque<E>,
-    /// Reused buffer for the cohort-extraction pass (capacity persists).
-    scratch: Vec<Entry<E>>,
-    /// Timestamp of the staged cohort (valid while staging/overflow
-    /// non-empty; always equals `now` then).
-    staging_time: Time,
     /// Cached earliest pending timestamp, so the runner's quiescence /
     /// next-event checks don't touch the calendar.
     head: Option<Time>,
-    /// Bucket-resident entry count (excludes staging/overflow/far) — drives
+    /// Bucket-resident entry count (excludes the far rung) — drives
     /// calendar growth.
     resident: usize,
-    len: usize,
     next_seq: u64,
     now: Time,
 }
@@ -116,25 +113,14 @@ impl<E> EventQueue<E> {
             buckets: (0..nbuckets).map(|_| Vec::new()).collect(),
             mask: (nbuckets - 1) as u64,
             cur_day: 0,
+            sorted: false,
             far: Vec::new(),
             far_min: Time::MAX,
-            staging: Vec::new(),
-            overflow: VecDeque::new(),
-            scratch: Vec::new(),
-            staging_time: Time::ZERO,
             head: None,
             resident: 0,
-            len: 0,
             next_seq: 0,
             now: Time::ZERO,
         }
-    }
-
-    /// Reserves space for at least `additional` more events (spread across
-    /// the staging cohort and the overflow rung; day buckets grow lazily).
-    pub fn reserve(&mut self, additional: usize) {
-        self.staging.reserve(additional / 4);
-        self.far.reserve(additional / 4);
     }
 
     #[inline]
@@ -148,8 +134,8 @@ impl<E> EventQueue<E> {
     }
 
     #[inline]
-    fn staging_active(&self) -> bool {
-        !self.staging.is_empty() || !self.overflow.is_empty()
+    fn bucket_of(&self, day: u64) -> usize {
+        (day & self.mask) as usize
     }
 
     /// Schedules `payload` to fire at absolute time `at`.
@@ -166,15 +152,12 @@ impl<E> EventQueue<E> {
             "event scheduled in the past: at={at:?} now={:?}",
             self.now
         );
-        let seq = self.next_seq;
+        let e = Entry {
+            time: at,
+            seq: self.next_seq,
+            payload,
+        };
         self.next_seq += 1;
-        self.len += 1;
-        if self.staging_active() && at == self.staging_time {
-            // Joins the cohort currently being served; seq order is append
-            // order because every staged seq is smaller.
-            self.overflow.push_back(payload);
-            return;
-        }
         if self.head.is_none_or(|h| at < h) {
             self.head = Some(at);
         }
@@ -183,18 +166,18 @@ impl<E> EventQueue<E> {
             if at < self.far_min {
                 self.far_min = at;
             }
-            self.far.push(Entry {
-                time: at,
-                seq,
-                payload,
-            });
+            self.far.push(e);
             return;
         }
-        self.buckets[(day & self.mask) as usize].push(Entry {
-            time: at,
-            seq,
-            payload,
-        });
+        let idx = self.bucket_of(day);
+        let b = &mut self.buckets[idx];
+        if self.sorted && day == self.cur_day {
+            // The newest seq sorts after every pending event at `at` and
+            // before every later one.
+            b.insert(b.partition_point(|x| x.time > at), e);
+        } else {
+            b.push(e);
+        }
         self.resident += 1;
         if self.resident > self.buckets.len() * 4 && self.buckets.len() < MAX_BUCKETS {
             self.grow();
@@ -205,29 +188,48 @@ impl<E> EventQueue<E> {
     /// of "now" to its timestamp.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        if let Some((_, payload)) = self.staging.pop() {
-            self.len -= 1;
-            self.finish_cohort_step();
-            return Some((self.now, payload));
-        }
-        if let Some(payload) = self.overflow.pop_front() {
-            self.len -= 1;
-            self.finish_cohort_step();
-            return Some((self.now, payload));
-        }
         let at = self.head?;
-        self.drain_cohort(at);
-        self.pop()
+        let day = Self::day_of(at);
+        if day != self.cur_day {
+            // Nothing is pending before `at` (it is the head), so no bucket
+            // holds an earlier day and advancing the window start is safe.
+            self.cur_day = day;
+            self.sorted = false;
+        }
+        if self.far_min <= at {
+            self.migrate(day);
+            self.sorted = false;
+        }
+        let idx = self.bucket_of(day);
+        let b = &mut self.buckets[idx];
+        if !self.sorted {
+            // Descending, so the next event out is last.
+            b.sort_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
+            self.sorted = true;
+        }
+        let e = b.pop().expect("cached head implies a pending event");
+        debug_assert_eq!(e.time, at);
+        self.now = at;
+        self.resident -= 1;
+        self.head = match b.last() {
+            // A far-rung leftover can share the active day.
+            Some(next) => Some(next.time.min(self.far_min)),
+            None => {
+                if b.capacity() > RETAIN_CAP {
+                    *b = Vec::new();
+                }
+                self.find_min()
+            }
+        };
+        Some((at, e.payload))
     }
 
     /// Removes and returns the earliest event **only if** it fires exactly
     /// at `at` — the batch-drain fast path for same-timestamp event bursts.
     ///
-    /// The miss case is a single cached-field compare, and the hit case is
-    /// served straight from the staged cohort (one branch plus a `Vec::pop`),
-    /// so a dispatch loop can ask "more work at the time I'm already
-    /// processing?" after every event for free. [`pop`] shares the same
-    /// staging path — the two entry points are one implementation.
+    /// The miss case is a single cached-field compare and the hit case is an
+    /// ordinary [`pop`], so a dispatch loop can ask "more work at the time
+    /// I'm already processing?" after every event for free.
     ///
     /// [`pop`]: EventQueue::pop
     #[inline]
@@ -235,77 +237,14 @@ impl<E> EventQueue<E> {
         if self.head != Some(at) {
             return None;
         }
-        if !self.staging_active() {
-            self.drain_cohort(at);
-        }
-        debug_assert_eq!(self.staging_time, at);
-        let payload = match self.staging.pop() {
-            Some((_, p)) => p,
-            None => self
-                .overflow
-                .pop_front()
-                .expect("cached head implies a pending cohort"),
-        };
-        self.len -= 1;
-        self.finish_cohort_step();
-        Some(payload)
-    }
-
-    /// Extracts every event at timestamp `at` (the current head) from its
-    /// bucket into the staging cohort and advances `now`.
-    fn drain_cohort(&mut self, at: Time) {
-        debug_assert!(self.staging.is_empty() && self.overflow.is_empty());
-        self.now = at;
-        self.staging_time = at;
-        let day = Self::day_of(at);
-        // Nothing is pending before `at` (it is the head), so no bucket
-        // holds an earlier day and advancing the window start is safe.
-        self.cur_day = day;
-        if self.far_min <= at {
-            self.migrate(day);
-        }
-        let idx = (day & self.mask) as usize;
-        // Order-preserving split: cohort entries out (in push order, i.e.
-        // ascending seq barring far-rung migration), the rest stay put.
-        let mut b = std::mem::take(&mut self.buckets[idx]);
-        for e in b.drain(..) {
-            if e.time == at {
-                self.staging.push((e.seq, e.payload));
-            } else {
-                self.scratch.push(e);
-            }
-        }
-        self.buckets[idx] = std::mem::take(&mut self.scratch);
-        self.scratch = b; // empty, but keeps its capacity for next time
-        debug_assert!(!self.staging.is_empty());
-        self.resident -= self.staging.len();
-        // Ascending seq is the common case (push order); migration from the
-        // far rung can interleave, so sort descending when needed.
-        if self.staging.windows(2).all(|w| w[0].0 < w[1].0) {
-            self.staging.reverse();
-        } else {
-            self.staging
-                .sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
-        }
-    }
-
-    /// After serving one staged event: if the cohort is exhausted, locate the
-    /// next head timestamp.
-    #[inline]
-    fn finish_cohort_step(&mut self) {
-        if self.staging_active() {
-            self.head = Some(self.staging_time);
-        } else {
-            self.staging.clear();
-            self.head = self.find_min();
-        }
+        self.pop().map(|(_, e)| e)
     }
 
     /// Scans the calendar forward from `cur_day` for the earliest pending
     /// timestamp. `None` iff nothing is pending. Pure read: `cur_day` is
-    /// only ever advanced by [`drain_cohort`](Self::drain_cohort), because
-    /// pushes at the current time remain legal after this scan and must
-    /// still land in front of the window.
+    /// only ever advanced by [`pop`](Self::pop), because pushes at the
+    /// current time remain legal after this scan and must still land in
+    /// front of the window.
     fn find_min(&self) -> Option<Time> {
         if self.resident == 0 && self.far.is_empty() {
             return None;
@@ -314,20 +253,10 @@ impl<E> EventQueue<E> {
         let mut day = self.cur_day;
         let end = self.cur_day + self.nbuckets();
         while day < end && day <= far_day {
-            let mut best = if day == far_day {
-                self.far_min
-            } else {
-                Time::MAX
-            };
-            for e in &self.buckets[(day & self.mask) as usize] {
-                // Day-filtered: a bucket can transiently hold a second day's
-                // entries (far-rung leftovers inside the window).
-                if Self::day_of(e.time) == day && e.time < best {
-                    best = e.time;
-                }
-            }
-            if best != Time::MAX {
-                return Some(best);
+            let bucket = &self.buckets[self.bucket_of(day)];
+            debug_assert!(bucket.iter().all(|e| Self::day_of(e.time) == day));
+            if let Some(t) = bucket.iter().map(|e| e.time).min() {
+                return Some(t.min(self.far_min));
             }
             day += 1;
         }
@@ -348,7 +277,8 @@ impl<E> EventQueue<E> {
         while i < self.far.len() {
             if Self::day_of(self.far[i].time) < horizon {
                 let e = self.far.swap_remove(i);
-                self.buckets[(Self::day_of(e.time) & self.mask) as usize].push(e);
+                let idx = self.bucket_of(Self::day_of(e.time));
+                self.buckets[idx].push(e);
                 self.resident += 1;
             } else {
                 if self.far[i].time < far_min {
@@ -371,6 +301,7 @@ impl<E> EventQueue<E> {
             .collect();
         self.buckets = (0..new_n).map(|_| Vec::new()).collect();
         self.mask = (new_n - 1) as u64;
+        self.sorted = false;
         self.resident = 0;
         self.far_min = Time::MAX;
         let horizon = self.cur_day + new_n as u64;
@@ -381,7 +312,8 @@ impl<E> EventQueue<E> {
                 }
                 self.far.push(e);
             } else {
-                self.buckets[(Self::day_of(e.time) & self.mask) as usize].push(e);
+                let idx = self.bucket_of(Self::day_of(e.time));
+                self.buckets[idx].push(e);
                 self.resident += 1;
             }
         }
@@ -402,12 +334,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.resident + self.far.len()
     }
 
     /// Whether the queue has no pending events.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Total number of events ever scheduled (diagnostics).
@@ -415,29 +347,29 @@ impl<E> EventQueue<E> {
         self.next_seq
     }
 
-    /// Occupancy of the queue's three rungs — `(bucket-resident, staged
-    /// cohort + its overflow, far rung)` — for observability sampling. The
-    /// three always sum to [`len`](EventQueue::len).
+    /// Occupancy of the queue's three rungs — `(other bucket-resident,
+    /// staged, far rung)` — for observability sampling. "Staged" events are
+    /// those still pending at [`now`](EventQueue::now) in the sorted active
+    /// day. The three always sum to [`len`](EventQueue::len).
     pub fn rung_depths(&self) -> (usize, usize, usize) {
-        (
-            self.resident,
-            self.staging.len() + self.overflow.len(),
-            self.far.len(),
-        )
+        let staged = if self.sorted {
+            let b = &self.buckets[self.bucket_of(self.cur_day)];
+            b.iter().rev().take_while(|e| e.time == self.now).count()
+        } else {
+            0
+        };
+        (self.resident - staged, staged, self.far.len())
     }
 
     /// Iterates the pending events in **arbitrary** order — diagnostics only
     /// (e.g. the liveness watchdog's in-flight dump); callers needing a
     /// stable order must sort what they collect.
     pub fn iter(&self) -> impl Iterator<Item = (Time, &E)> {
-        let staged = self
-            .staging
+        self.buckets
             .iter()
-            .map(move |(_, p)| (self.staging_time, p))
-            .chain(self.overflow.iter().map(move |p| (self.staging_time, p)));
-        staged
-            .chain(self.buckets.iter().flatten().map(|e| (e.time, &e.payload)))
-            .chain(self.far.iter().map(|e| (e.time, &e.payload)))
+            .flatten()
+            .chain(&self.far)
+            .map(|e| (e.time, &e.payload))
     }
 }
 
@@ -549,20 +481,19 @@ mod tests {
         q.pop();
         q.pop();
         assert_eq!(q.peek_time(), None);
-        q.reserve(8);
         assert!(q.is_empty());
     }
 
     #[test]
-    fn push_into_cohort_being_served_keeps_fifo_order() {
+    fn push_at_the_timestamp_being_served_keeps_fifo_order() {
         let mut q = EventQueue::new();
         let t = Time::from_ns(2);
         q.push(t, 0);
         q.push(t, 1);
         q.push(Time::from_ns(7), 99);
         assert_eq!(q.pop(), Some((t, 0)));
-        // Mid-cohort push at the served timestamp must come out after the
-        // rest of the cohort (it has the largest seq).
+        // A push at the served timestamp must come out after the events
+        // already pending there (it has the largest seq).
         q.push(t, 2);
         assert_eq!(q.pop_if_at(t), Some(1));
         assert_eq!(q.pop_if_at(t), Some(2));
@@ -605,6 +536,45 @@ mod tests {
     }
 
     #[test]
+    fn far_leftovers_inside_the_active_day_keep_order() {
+        // Two far-rung timers sit in a day that the window later reaches
+        // through bucket-resident events. They must still come out in
+        // `(time, seq)` order, whether they migrate at their own pop or
+        // through calendar growth while that day is being drained.
+        fn push(q: &mut EventQueue<usize>, log: &mut Vec<(Time, usize)>, ps: u64) {
+            let e = (Time::from_ps(ps), log.len());
+            log.push(e);
+            q.push(e.0, e.1);
+        }
+        let t0 = 2_000_000; // day 488: beyond the initial 256-day horizon
+        for grow in [false, true] {
+            let mut q = EventQueue::new();
+            let mut log = Vec::new();
+            push(&mut q, &mut log, t0);
+            push(&mut q, &mut log, t0 + 100);
+            push(&mut q, &mut log, t0 / 2);
+            let mut out = vec![q.pop().unwrap()]; // the window now covers day 488
+            for ps in [t0 - 50, t0 + 50, t0 + 200] {
+                push(&mut q, &mut log, ps);
+            }
+            out.push(q.pop().unwrap()); // day 488 is the active day
+            assert_eq!(
+                q.peek_time(),
+                Some(Time::from_ps(t0)),
+                "far leftover is the head"
+            );
+            if grow {
+                for i in 0..4 * INIT_BUCKETS as u64 {
+                    push(&mut q, &mut log, t0 + 400_000 + i);
+                }
+            }
+            out.extend(std::iter::from_fn(|| q.pop()));
+            log.sort_unstable();
+            assert_eq!(out, log, "grow={grow}");
+        }
+    }
+
+    #[test]
     fn grows_past_initial_bucket_count() {
         let mut q = EventQueue::new();
         let n = 8 * INIT_BUCKETS as u64;
@@ -623,7 +593,7 @@ mod tests {
     }
 
     #[test]
-    fn iter_covers_staging_buckets_and_far() {
+    fn iter_covers_active_day_buckets_and_far() {
         let mut q = EventQueue::new();
         q.push(Time::from_ns(1), 'a');
         q.push(Time::from_ns(1), 'b');
@@ -634,5 +604,29 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, vec!['b', 'c', 'd']);
         assert_eq!(q.len(), 3);
+        assert_eq!(q.rung_depths(), (1, 1, 1));
+    }
+
+    #[test]
+    fn drained_days_release_their_storage() {
+        let mut q = EventQueue::with_capacity(4 * 1024);
+        let bucket_cap = |q: &EventQueue<u64>| q.buckets.iter().map(Vec::capacity).sum::<usize>();
+        // A burst of 64 distinct timestamps per day over 512 days.
+        let (days, per_day) = (512u64, 64u64);
+        for round in 0..2u64 {
+            let base = round * (days << WIDTH_SHIFT);
+            for i in 0..days * per_day {
+                let day = i % days;
+                let ps = base + (day << WIDTH_SHIFT) + (i / days) * 61;
+                q.push(Time::from_ps(ps), i);
+            }
+            assert!(bucket_cap(&q) >= (days * per_day) as usize);
+            while q.pop().is_some() {}
+            assert!(
+                bucket_cap(&q) <= days as usize * RETAIN_CAP,
+                "round {round}: drained buckets still hold {} entries of capacity",
+                bucket_cap(&q)
+            );
+        }
     }
 }

@@ -86,8 +86,9 @@ impl<E: Ord> RefQueue<E> {
 
 /// The calendar queue dequeues in exactly the reference heap's tie-break
 /// order on randomized interleaved push/pop workloads, including far-future
-/// timers (overflow rung), same-time bursts (cohort staging), mid-drain
-/// pushes, `pop_if_at` probes, and calendar growth.
+/// timers (overflow rung), same-time bursts, many distinct timestamps in one
+/// day (the sorted active day), mid-drain pushes, `pop_if_at` probes, and
+/// calendar growth while a day is being drained.
 #[test]
 fn calendar_queue_matches_reference_heap_order() {
     for case in 0..CASES {
@@ -101,17 +102,31 @@ fn calendar_queue_matches_reference_heap_order() {
             let roll = rng.unit_f64();
             if roll < 0.55 {
                 // Mixed scales: sub-ns cycles, mesh hops, fabric latencies,
-                // and occasional RTO-scale far-future timers.
-                let delta = match rng.range_u64(0..10) {
-                    0..=3 => rng.range_u64(0..2_000),
-                    4..=6 => rng.range_u64(0..150_000),
-                    7..=8 => 0, // same-instant burst
-                    _ => rng.range_u64(1_000_000..100_000_000),
+                // occasional RTO-scale far-future timers, and bursts inside
+                // the day being drained.
+                let class = rng.range_u64(0..11);
+                let burst = if class == 10 {
+                    rng.range_usize(1..400)
+                } else {
+                    1
                 };
-                let at = Time::from_ps(now + delta);
-                q.push(at, pushed);
-                r.push(at, pushed);
-                pushed += 1;
+                for _ in 0..burst {
+                    let delta = match class {
+                        0..=3 => rng.range_u64(0..2_000),
+                        4..=6 => rng.range_u64(0..150_000),
+                        7..=8 => 0, // same-instant burst
+                        9 => rng.range_u64(1_000_000..100_000_000),
+                        // Many distinct picosecond timestamps within the
+                        // current 4.096 ns day: inserts into the sorted
+                        // active day, and enough of them to grow the
+                        // calendar while that day is being drained.
+                        _ => rng.range_u64(0..4096 - now % 4096),
+                    };
+                    let at = Time::from_ps(now + delta);
+                    q.push(at, pushed);
+                    r.push(at, pushed);
+                    pushed += 1;
+                }
             } else if roll < 0.8 {
                 assert_eq!(q.peek_time(), r.peek_time(), "case {case}");
                 let got = q.pop();
