@@ -28,7 +28,6 @@
 //! hardware disambiguate wrapped values with serial-number arithmetic.
 
 use cord_mem::{Addr, AddressMap};
-use std::collections::HashMap;
 
 use cord_proto::{
     home_dir, ConsistencyModel, CordWidths, CoreCtx, CoreId, CoreProtoStats, CoreProtocol, DirId,
@@ -45,10 +44,12 @@ pub const PROC_CNT_ENTRY_BYTES: u64 = 5;
 /// Bytes per unacknowledged-epoch entry (1 B directory tag + 1 B epoch).
 pub const PROC_UNACKED_ENTRY_BYTES: u64 = 2;
 
-/// Everything needed to re-issue an unacknowledged Release after the
-/// destination directory crashes and wipes its held copy.
+/// An in-flight Release: what its acknowledgment retires, and everything
+/// needed to re-issue it after the destination directory crashes and wipes
+/// its held copy.
 #[derive(Debug, Clone)]
 struct ReplayRel {
+    tid: u64,
     dir: DirId,
     ep: u64,
     addr: Addr,
@@ -96,17 +97,16 @@ pub struct CordCore {
     cnt: LookupTable<DirId, u64>,
     /// Unacknowledged Release stores: (epoch, destination directory).
     unacked: LookupTable<(u64, DirId), ()>,
-    /// tid → (epoch, directory) of in-flight Release acknowledgments.
-    ack_wait: HashMap<u64, (u64, DirId)>,
     next_tid: u64,
     /// A Release/Full barrier has broadcast its empty Release stores and is
     /// waiting for the unacknowledged table to drain.
     fence_active: bool,
     /// An atomic awaiting its response (blocking, like a load).
     pending_atomic: Option<u64>,
-    /// tid → re-issue state for every unacknowledged Release (mirrors
-    /// `ack_wait`; consumed by directory-crash recovery).
-    replay: HashMap<u64, ReplayRel>,
+    /// Every unacknowledged Release in ascending tid (= issue) order; an
+    /// acknowledgment removes its entry, directory-crash recovery re-issues
+    /// from it.
+    replay: Vec<ReplayRel>,
     /// Active directory-crash recovery fence, if any.
     recover: Option<RecoverState>,
     reads: ReadPath,
@@ -134,11 +134,10 @@ impl CordCore {
             epoch: 0,
             cnt: LookupTable::new(cfg.tables.proc_cnt, PROC_CNT_ENTRY_BYTES),
             unacked: LookupTable::new(cfg.tables.proc_unacked, PROC_UNACKED_ENTRY_BYTES),
-            ack_wait: HashMap::new(),
             next_tid: 0,
             fence_active: false,
             pending_atomic: None,
-            replay: HashMap::new(),
+            replay: Vec::new(),
             recover: None,
             reads: ReadPath::default(),
         }
@@ -251,22 +250,19 @@ impl CordCore {
         let noti_cnt = noti_dirs.len() as u32;
         let tid = self.next_tid;
         self.next_tid += 1;
-        self.ack_wait.insert(tid, (ep, dst));
-        self.replay.insert(
+        self.replay.push(ReplayRel {
             tid,
-            ReplayRel {
-                dir: dst,
-                ep,
-                addr,
-                bytes,
-                value,
-                cnt: cnt_d,
-                last_prev_ep,
-                noti_cnt,
-                noti_dirs: noti_dirs.to_vec(),
-                atomic,
-            },
-        );
+            dir: dst,
+            ep,
+            addr,
+            bytes,
+            value,
+            cnt: cnt_d,
+            last_prev_ep,
+            noti_cnt,
+            noti_dirs: noti_dirs.to_vec(),
+            atomic,
+        });
         let inserted = self.unacked.try_insert((ep, dst), ());
         debug_assert!(inserted, "caller must check unacked-table room");
         ctx.trace(|| TraceData::TableInsert {
@@ -471,7 +467,7 @@ impl CordCore {
             FenceKind::Acquire => Issue::Done,
             FenceKind::Release | FenceKind::Full => {
                 if self.fence_active {
-                    return if self.ack_wait.is_empty() {
+                    return if self.replay.is_empty() {
                         self.fence_active = false;
                         Issue::Done
                     } else {
@@ -479,7 +475,7 @@ impl CordCore {
                     };
                 }
                 let pending = self.pending_dirs(None);
-                if pending.is_empty() && self.ack_wait.is_empty() {
+                if pending.is_empty() && self.replay.is_empty() {
                     return Issue::Done;
                 }
                 if self.epoch_would_overflow() {
@@ -519,6 +515,26 @@ impl CordCore {
     fn addr_for_dir(&self, d: DirId) -> Addr {
         let sph = self.map.slices_per_host();
         self.map.addr_on_slice(d.0 / sph, d.0 % sph, 0, 0)
+    }
+
+    /// Retires an acknowledged Release: frees its unacknowledged-table entry
+    /// and its re-issue state.
+    fn retire_release(&mut self, tid: u64, ctx: &mut CoreCtx<'_>) {
+        let i = self
+            .replay
+            .binary_search_by_key(&tid, |r| r.tid)
+            .expect("CordCore: ack for unknown Release store");
+        let rp = self.replay.remove(i);
+        self.unacked.remove(&(rp.ep, rp.dir));
+        ctx.trace(|| TraceData::TableEvict {
+            node: "core",
+            id: self.id.0,
+            table: "unacked",
+            occ: self.unacked.len() as u64,
+            cap: self.unacked.capacity() as u64,
+        });
+        // Stalled Releases, fences or table-bound stores may proceed.
+        ctx.wake();
     }
 
     /// Whether a directory-crash recovery fence is active (diagnostics).
@@ -571,12 +587,10 @@ impl CordCore {
         let dirs = self.recover.as_ref().unwrap().dirs.clone();
 
         // Phase 1: regenerate state the crashed directories wiped, for every
-        // still-unacknowledged Release.
-        let mut tids: Vec<u64> = self.replay.keys().copied().collect();
-        tids.sort_unstable();
+        // still-unacknowledged Release, oldest first.
         let mut waiting = false;
-        for tid in tids {
-            let rp = self.replay.get(&tid).cloned().expect("replay entry");
+        for rp in &self.replay {
+            let tid = rp.tid;
             // Wiped notifications: ask each crashed pending directory to
             // notify again. The last-unacked gate is recomputed against the
             // live table so the notification still waits for every earlier
@@ -760,7 +774,7 @@ impl CoreProtocol for CordCore {
                 value,
                 ord,
             } => {
-                if self.ack_wait.len() >= self.store_window {
+                if self.replay.len() >= self.store_window {
                     return Issue::Stall(StallCause::StoreWindow);
                 }
                 let ordered = match self.model {
@@ -930,23 +944,7 @@ impl CoreProtocol for CordCore {
 
     fn on_msg(&mut self, _from: NodeRef, kind: MsgKind, ctx: &mut CoreCtx<'_>) {
         match kind {
-            MsgKind::WtAck { tid, .. } => {
-                let (ep, dir) = self
-                    .ack_wait
-                    .remove(&tid)
-                    .expect("CordCore: ack for unknown Release store");
-                self.unacked.remove(&(ep, dir));
-                self.replay.remove(&tid);
-                ctx.trace(|| TraceData::TableEvict {
-                    node: "core",
-                    id: self.id.0,
-                    table: "unacked",
-                    occ: self.unacked.len() as u64,
-                    cap: self.unacked.capacity() as u64,
-                });
-                // Stalled Releases, fences or table-bound stores may proceed.
-                ctx.wake();
-            }
+            MsgKind::WtAck { tid, .. } => self.retire_release(tid, ctx),
             MsgKind::AtomicResp { tid, old, epoch } => {
                 assert_eq!(
                     self.pending_atomic.take(),
@@ -955,20 +953,7 @@ impl CoreProtocol for CordCore {
                 );
                 if epoch.is_some() {
                     // Release atomic: the response is also the ack.
-                    let (ep, dir) = self
-                        .ack_wait
-                        .remove(&tid)
-                        .expect("release atomic registered in ack_wait");
-                    self.unacked.remove(&(ep, dir));
-                    self.replay.remove(&tid);
-                    ctx.trace(|| TraceData::TableEvict {
-                        node: "core",
-                        id: self.id.0,
-                        table: "unacked",
-                        occ: self.unacked.len() as u64,
-                        cap: self.unacked.capacity() as u64,
-                    });
-                    ctx.wake();
+                    self.retire_release(tid, ctx);
                 }
                 ctx.load_done(old);
             }
@@ -978,7 +963,7 @@ impl CoreProtocol for CordCore {
     }
 
     fn quiesced(&self) -> bool {
-        self.ack_wait.is_empty()
+        self.replay.is_empty()
             && self.pending_atomic.is_none()
             && !self.reads.is_pending()
             && self.recover.is_none()

@@ -18,6 +18,13 @@
 //! Requests that cannot yet be satisfied are recycled in a network buffer
 //! whose occupancy is tracked (paper Fig. 12); committed state reclaims its
 //! lookup-table entries exactly as §4.3 prescribes.
+//!
+//! Every readiness condition above reads only state keyed by the request's
+//! own processor: `Cnt[p, ·]`, `notiCnt[p, ·]` and `largestEp[p]`. So a
+//! message for processor `p`, and every commit it triggers, can only make
+//! `p`'s recycled requests ready, and [`CordDir`] re-examines only those.
+//! This rests on one invariant, checked after every message in debug
+//! builds: no recycled request is ready once a message has been handled.
 
 use cord_sim::trace::TraceData;
 use cord_sim::Time;
@@ -37,7 +44,7 @@ pub const DIR_NOTI_ENTRY_BYTES: u64 = 4;
 /// Bytes per largest-committed-epoch entry (1 B proc tag + 1 B epoch).
 pub const DIR_LARGEST_ENTRY_BYTES: u64 = 2;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct HeldRelease {
     src: CoreId,
     tid: u64,
@@ -58,7 +65,7 @@ struct HeldRelease {
     recover: bool,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct HeldReqNotify {
     core: CoreId,
     ep: u64,
@@ -152,8 +159,8 @@ impl CordDir {
         self.cnt.get(&(core, ep)).copied().unwrap_or(0)
     }
 
-    /// Tries to commit a Release store; returns whether it committed.
-    fn try_release(&mut self, r: &HeldRelease, ctx: &mut DirCtx<'_>) -> bool {
+    /// Whether a Release store may commit: conditions (1)–(3) above.
+    fn release_ready(&self, r: &HeldRelease) -> bool {
         let pid = r.src.0;
         // A recovery re-issue waives the store-count and notification checks:
         // the issuing core quiesced every in-flight store before re-issuing
@@ -166,9 +173,26 @@ impl CordDir {
         // `>=`, not `==`: recovery can duplicate notifications when both the
         // original and the re-issued ReqNotify produce one.
         let noti_ok = r.recover || self.noti.get(&(pid, r.ep)).copied().unwrap_or(0) >= r.noti_cnt;
-        if !(cnt_ok && prev_ok && noti_ok) {
+        cnt_ok && prev_ok && noti_ok
+    }
+
+    /// Whether a request-for-notification may be answered: conditions (1)
+    /// and (2) above.
+    fn reqnotify_ready(&self, r: &HeldReqNotify) -> bool {
+        let pid = r.core.0;
+        // Recovery re-issues waive the (wiped) store-count claim; the
+        // last-unacked-epoch gate is kept so notifications never race ahead
+        // of earlier Release stores homed here.
+        let cnt_ok = r.recover || self.relaxed_count(pid, r.ep) == r.relaxed_cnt;
+        cnt_ok && self.epoch_committed(pid, r.last_unacked_ep)
+    }
+
+    /// Tries to commit a Release store; returns whether it committed.
+    fn try_release(&mut self, r: &HeldRelease, ctx: &mut DirCtx<'_>) -> bool {
+        if !self.release_ready(r) {
             return false;
         }
+        let pid = r.src.0;
         let mut atomic_old = None;
         if let Some(add) = r.atomic {
             atomic_old = Some(ctx.mem.fetch_add(r.addr, add));
@@ -225,15 +249,10 @@ impl CordDir {
     /// Tries to satisfy a request-for-notification; returns whether the
     /// notification was sent.
     fn try_reqnotify(&mut self, r: &HeldReqNotify, ctx: &mut DirCtx<'_>) -> bool {
-        let pid = r.core.0;
-        // Recovery re-issues waive the (wiped) store-count claim; the
-        // last-unacked-epoch gate is kept so notifications never race ahead
-        // of earlier Release stores homed here.
-        let cnt_ok = r.recover || self.relaxed_count(pid, r.ep) == r.relaxed_cnt;
-        let prev_ok = self.epoch_committed(pid, r.last_unacked_ep);
-        if !(cnt_ok && prev_ok) {
+        if !self.reqnotify_ready(r) {
             return false;
         }
+        let pid = r.core.0;
         // Reclaim the store-counter entry once the notification is sent.
         self.cnt.remove(&(pid, r.ep));
         ctx.trace(|| TraceData::TableEvict {
@@ -257,15 +276,25 @@ impl CordDir {
         true
     }
 
-    /// Re-examines every recycled request until a fixpoint: one commit can
+    /// Re-examines recycled requests until a fixpoint: one commit can
     /// unblock chained Releases and notifications.
-    fn progress(&mut self, ctx: &mut DirCtx<'_>) {
+    ///
+    /// `Some(pid)` re-examines only processor `pid`'s requests, after a
+    /// message that changed only `pid`-keyed state. Other processors'
+    /// requests were not ready before the message (the invariant checked by
+    /// [`Self::assert_settled`]) and no commit of `pid`'s can change that,
+    /// so they are skipped in place: the buffers and the send order are
+    /// exactly those of a full scan. `None` (a directory wake) scans all.
+    fn progress(&mut self, only: Option<u32>, ctx: &mut DirCtx<'_>) {
+        let skip = |core: CoreId| only.is_some_and(|p| p != core.0);
         loop {
             let mut advanced = false;
             let mut i = 0;
             while i < self.held_rel.len() {
-                let r = self.held_rel[i].clone();
-                if self.stale_epoch(r.src.0, r.ep) {
+                let r = self.held_rel[i];
+                if skip(r.src) {
+                    i += 1;
+                } else if self.stale_epoch(r.src.0, r.ep) {
                     // A duplicate of an already-committed Release (its
                     // recovery re-issue or its wiped original): drop without
                     // a second acknowledgment or memory commit.
@@ -290,8 +319,8 @@ impl CordDir {
             }
             let mut j = 0;
             while j < self.held_rfn.len() {
-                let r = self.held_rfn[j].clone();
-                if self.try_reqnotify(&r, ctx) {
+                let r = self.held_rfn[j];
+                if !skip(r.core) && self.try_reqnotify(&r, ctx) {
                     self.buf_bytes -= r.wire_bytes;
                     self.held_rfn.swap_remove(j);
                     self.trace_netbuf_evict(ctx);
@@ -303,6 +332,50 @@ impl CordDir {
             if !advanced {
                 break;
             }
+        }
+    }
+
+    /// A Release store or Release atomic arrives: drop it if it is a stale
+    /// duplicate, else commit it now or recycle it.
+    fn arrive_release(&mut self, r: HeldRelease, what: &'static str, ctx: &mut DirCtx<'_>) {
+        if self.stale_epoch(r.src.0, r.ep) {
+            // Already committed before a crash wiped the held copy; the
+            // original acknowledgment (or atomic response) is still in
+            // flight. Dropping the duplicate keeps the commit — and an
+            // atomic's read-modify-write — exactly-once.
+            ctx.trace(|| TraceData::StaleDrop {
+                dir: self.id.0,
+                core: r.src.0,
+                ep: r.ep,
+                what,
+            });
+        } else if self.try_release(&r, ctx) {
+            self.progress(Some(r.src.0), ctx);
+        } else {
+            self.hold_release(r, ctx);
+        }
+    }
+
+    /// The invariant behind [`Self::progress`]'s per-core scoping: once a
+    /// message is handled, no recycled request is ready (or stale).
+    fn assert_settled(&self) {
+        for r in &self.held_rel {
+            assert!(
+                !self.stale_epoch(r.src.0, r.ep) && !self.release_ready(r),
+                "CordDir {}: held Release (core {}, ep {}) is ready after a message",
+                self.id.0,
+                r.src.0,
+                r.ep
+            );
+        }
+        for r in &self.held_rfn {
+            assert!(
+                !self.reqnotify_ready(r),
+                "CordDir {}: held ReqNotify (core {}, ep {}) is ready after a message",
+                self.id.0,
+                r.core.0,
+                r.ep
+            );
         }
     }
 
@@ -387,7 +460,7 @@ impl DirProtocol for CordDir {
                         occ: self.cnt.len() as u64,
                         cap: self.cnt.capacity() as u64,
                     });
-                    self.progress(ctx);
+                    self.progress(Some(pid), ctx);
                 }
                 WtMeta::Release {
                     ep,
@@ -401,18 +474,6 @@ impl DirProtocol for CordDir {
                         NodeRef::Core(c) => c,
                         other => panic!("CordDir: store from {other:?}"),
                     };
-                    if self.stale_epoch(src.0, ep) {
-                        // Already committed before a crash wiped the held
-                        // copy; the original acknowledgment is still in
-                        // flight. Drop silently — no second ack or commit.
-                        ctx.trace(|| TraceData::StaleDrop {
-                            dir: self.id.0,
-                            core: src.0,
-                            ep,
-                            what: "release",
-                        });
-                        return;
-                    }
                     let r = HeldRelease {
                         src,
                         tid,
@@ -427,11 +488,7 @@ impl DirProtocol for CordDir {
                         atomic: None,
                         recover,
                     };
-                    if self.try_release(&r, ctx) {
-                        self.progress(ctx);
-                    } else {
-                        self.hold_release(r, ctx);
-                    }
+                    self.arrive_release(r, "release", ctx);
                 }
                 other => panic!("CordDir: store with foreign metadata {other:?}"),
             },
@@ -483,7 +540,7 @@ impl DirProtocol for CordDir {
                                 },
                             ),
                         );
-                        self.progress(ctx);
+                        self.progress(Some(src.0), ctx);
                     }
                     WtMeta::Release {
                         ep,
@@ -492,18 +549,6 @@ impl DirProtocol for CordDir {
                         noti_cnt,
                         recover,
                     } => {
-                        if self.stale_epoch(src.0, ep) {
-                            // The atomic already committed (and its response
-                            // is in flight): dropping the duplicate is what
-                            // keeps the read-modify-write exactly-once.
-                            ctx.trace(|| TraceData::StaleDrop {
-                                dir: self.id.0,
-                                core: src.0,
-                                ep,
-                                what: "atomic",
-                            });
-                            return;
-                        }
                         let r = HeldRelease {
                             src,
                             tid,
@@ -518,11 +563,7 @@ impl DirProtocol for CordDir {
                             atomic: Some(add),
                             recover,
                         };
-                        if self.try_release(&r, ctx) {
-                            self.progress(ctx);
-                        } else {
-                            self.hold_release(r, ctx);
-                        }
+                        self.arrive_release(r, "atomic", ctx);
                     }
                     other => panic!("CordDir: atomic with foreign metadata {other:?}"),
                 }
@@ -581,6 +622,7 @@ impl DirProtocol for CordDir {
                         ep,
                         what: "notify",
                     });
+                    // No state changed, so the settled invariant still holds.
                     return;
                 }
                 match self.noti.get_or_insert_with((core.0, ep), || 0) {
@@ -603,7 +645,7 @@ impl DirProtocol for CordDir {
                     occ: self.noti.len() as u64,
                     cap: self.noti.capacity() as u64,
                 });
-                self.progress(ctx);
+                self.progress(Some(core.0), ctx);
             }
             MsgKind::ReadReq { tid, addr, bytes } => {
                 let value = ctx.mem.load(addr);
@@ -618,10 +660,16 @@ impl DirProtocol for CordDir {
             }
             other => panic!("CordDir: unexpected message {other:?}"),
         }
+        if cfg!(debug_assertions) {
+            self.assert_settled();
+        }
     }
 
     fn retry(&mut self, ctx: &mut DirCtx<'_>) {
-        self.progress(ctx);
+        self.progress(None, ctx);
+        if cfg!(debug_assertions) {
+            self.assert_settled();
+        }
     }
 
     fn storage(&self) -> DirStorage {
@@ -831,6 +879,39 @@ mod tests {
             .out
             .iter()
             .any(|m| matches!(m.kind, MsgKind::Notify { .. })));
+    }
+
+    /// `msg` as sent by core `core` instead of core 0.
+    fn from_core(core: u32, mut msg: Msg) -> Msg {
+        msg.src = NodeRef::Core(CoreId(core));
+        msg
+    }
+
+    #[test]
+    fn store_commits_only_its_own_cores_held_release() {
+        let mut rig = Rig::new();
+        // Both cores' epoch-0 Releases claim one Relaxed store; core 1's is
+        // held ahead of core 0's in the buffer.
+        rig.deliver(from_core(1, release(0, 1, None, 0, 0x108, 21)));
+        rig.deliver(from_core(0, release(0, 1, None, 0, 0x100, 20)));
+        assert_eq!(rig.acks(), 0);
+        rig.deliver(from_core(0, relaxed(0, 0x40, 1)));
+        assert_eq!(
+            rig.mem.peek(Addr::new(0x100)),
+            20,
+            "core 0's Release commits"
+        );
+        assert_eq!(rig.mem.peek(Addr::new(0x108)), 0, "core 1's still held");
+        assert_eq!(rig.out.last().unwrap().dst, NodeRef::Core(CoreId(0)));
+        rig.deliver(from_core(1, relaxed(0, 0x48, 2)));
+        assert_eq!(
+            rig.mem.peek(Addr::new(0x108)),
+            21,
+            "core 1's Release commits"
+        );
+        assert_eq!(rig.out.last().unwrap().dst, NodeRef::Core(CoreId(1)));
+        assert_eq!(rig.acks(), 2);
+        assert_eq!(rig.dir.buffered_bytes(), 0);
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Bounded lookup tables with occupancy accounting.
 //!
 //! CORD's protocol state lives in small hardware lookup tables (paper §4.3,
-//! Fig. 6 left). [`LookupTable`] models one: a tagged map with a fixed entry
-//! capacity and a fixed per-entry byte cost. Occupancy (current and peak) is
-//! tracked so experiments can report exactly the storage the paper's
-//! Figs. 11/12 and Table 3 report, and insertion beyond capacity is an
-//! explicit, checkable condition — the protocol *stalls* instead of growing.
-
-use std::collections::BTreeMap;
+//! Fig. 6 left), typically 8 entries each. [`LookupTable`] models one as a
+//! small array kept sorted by tag: a lookup is a binary search, and
+//! iteration visits entries in ascending tag order, like a hardware table
+//! scanned by index. Each table has a fixed entry capacity and a fixed
+//! per-entry byte cost. Occupancy (current and peak) is tracked so
+//! experiments can report exactly the storage the paper's Figs. 11/12 and
+//! Table 3 report, and insertion beyond capacity is an explicit, checkable
+//! condition — the protocol *stalls* instead of growing. Clearing a table
+//! keeps its array, so per-epoch resets do not allocate.
 
 /// A capacity-bounded, byte-accounted lookup table.
 ///
@@ -26,7 +28,8 @@ use std::collections::BTreeMap;
 /// ```
 #[derive(Debug, Clone)]
 pub struct LookupTable<K: Ord, V> {
-    entries: BTreeMap<K, V>,
+    /// Live entries in ascending key order.
+    entries: Vec<(K, V)>,
     capacity: usize,
     entry_bytes: u64,
     peak_entries: usize,
@@ -42,11 +45,22 @@ impl<K: Ord, V> LookupTable<K, V> {
     pub fn new(capacity: usize, entry_bytes: u64) -> Self {
         assert!(capacity >= 1, "tables need at least one entry");
         LookupTable {
-            entries: BTreeMap::new(),
+            entries: Vec::new(),
             capacity,
             entry_bytes,
             peak_entries: 0,
         }
+    }
+
+    /// `Ok(index)` of `key`, or `Err(index)` where it would be inserted.
+    fn find(&self, key: &K) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(k, _)| k.cmp(key))
+    }
+
+    /// Inserts a fresh entry at `at` (the `Err` slot of [`Self::find`]).
+    fn insert_at(&mut self, at: usize, key: K, value: V) {
+        self.entries.insert(at, (key, value));
+        self.peak_entries = self.peak_entries.max(self.entries.len());
     }
 
     /// Whether a new key could be inserted right now.
@@ -62,47 +76,45 @@ impl<K: Ord, V> LookupTable<K, V> {
     /// Inserts `key → value` if there is room (or the key exists, replacing
     /// its value). Returns `false` — and changes nothing — when full.
     pub fn try_insert(&mut self, key: K, value: V) -> bool {
-        if !self.entries.contains_key(&key) && !self.has_room() {
-            return false;
+        match self.find(&key) {
+            Ok(i) => self.entries[i].1 = value,
+            Err(_) if !self.has_room() => return false,
+            Err(i) => self.insert_at(i, key, value),
         }
-        self.entries.insert(key, value);
-        self.peak_entries = self.peak_entries.max(self.entries.len());
         true
     }
 
     /// Gets a value.
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.entries.get(key)
+        self.find(key).ok().map(|i| &self.entries[i].1)
     }
 
     /// Gets a value mutably.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.entries.get_mut(key)
+        self.find(key).ok().map(|i| &mut self.entries[i].1)
     }
 
     /// Upserts via a default: like `entry().or_insert()`, but bounded.
     /// Returns `None` if a fresh insert was needed and the table is full.
-    pub fn get_or_insert_with(&mut self, key: K, default: impl FnOnce() -> V) -> Option<&mut V>
-    where
-        K: Clone,
-    {
-        if !self.entries.contains_key(&key) {
-            if !self.has_room() {
-                return None;
+    pub fn get_or_insert_with(&mut self, key: K, default: impl FnOnce() -> V) -> Option<&mut V> {
+        let i = match self.find(&key) {
+            Ok(i) => i,
+            Err(_) if !self.has_room() => return None,
+            Err(i) => {
+                self.insert_at(i, key, default());
+                i
             }
-            self.entries.insert(key.clone(), default());
-            self.peak_entries = self.peak_entries.max(self.entries.len());
-        }
-        self.entries.get_mut(&key)
+        };
+        Some(&mut self.entries[i].1)
     }
 
     /// Removes and returns a value (reclaiming the entry — paper §4.3).
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        self.entries.remove(key)
+        self.find(key).ok().map(|i| self.entries.remove(i).1)
     }
 
     /// Removes every entry (e.g. resetting per-epoch counters on a Release);
-    /// the peak high-water mark is preserved.
+    /// the peak high-water mark and the array's capacity are preserved.
     pub fn clear(&mut self) {
         self.entries.clear();
     }
@@ -134,22 +146,22 @@ impl<K: Ord, V> LookupTable<K, V> {
 
     /// Iterates entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.entries.iter()
+        self.entries.iter().map(|(k, v)| (k, v))
     }
 
     /// Keys in ascending order.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.entries.keys()
+        self.entries.iter().map(|(k, _)| k)
     }
 
     /// Largest key, if any.
     pub fn max_key(&self) -> Option<&K> {
-        self.entries.keys().next_back()
+        self.entries.last().map(|(k, _)| k)
     }
 
     /// Smallest key, if any.
     pub fn min_key(&self) -> Option<&K> {
-        self.entries.keys().next()
+        self.entries.first().map(|(k, _)| k)
     }
 }
 

@@ -9,6 +9,7 @@ use cord_proto::{
     MsgKind, Op, ProtocolKind, StoreOrd, SystemConfig,
 };
 use cord_sim::{DetRng, Time};
+use std::collections::BTreeMap;
 
 /// host 0, slice `s`, line k — deterministic single-host addressing.
 fn addr(s: u64, k: u64) -> Addr {
@@ -201,6 +202,61 @@ fn lookup_table_bounds() {
             assert!(t.peak_bytes() >= peak, "case {case}: peak regressed");
             peak = t.peak_bytes();
             assert!(t.bytes() <= t.peak_bytes(), "case {case}");
+        }
+    }
+}
+
+/// LookupTable agrees with a capacity-bounded `BTreeMap` reference on every
+/// observable — contents in key order, extremes, length, peak occupancy and
+/// the outcome of each bounded insert — over random operation sequences.
+#[test]
+fn lookup_table_matches_btreemap_reference() {
+    const ENTRY_BYTES: u64 = 6;
+    for case in 0..128 {
+        let mut rng = DetRng::new(0x7AB1E).stream(case);
+        let cap = rng.range_usize(1..10);
+        let keys = rng.range_u64(2..24) as u16;
+        let mut t: LookupTable<u16, u64> = LookupTable::new(cap, ENTRY_BYTES);
+        let mut reference: BTreeMap<u16, u64> = BTreeMap::new();
+        let mut peak = 0;
+        for step in 0..rng.range_usize(1..300) {
+            let k = rng.range_u64(0..keys as u64) as u16;
+            let v = rng.next_u64();
+            let room = reference.contains_key(&k) || reference.len() < cap;
+            match rng.range_u64(0..10) {
+                0..=3 => {
+                    assert_eq!(t.try_insert(k, v), room, "case {case} step {step}");
+                    if room {
+                        reference.insert(k, v);
+                    }
+                }
+                4..=5 => {
+                    let got = t.get_or_insert_with(k, || v).map(|x| {
+                        *x += 1;
+                        *x
+                    });
+                    let want = room.then(|| {
+                        let x = reference.entry(k).or_insert(v);
+                        *x += 1;
+                        *x
+                    });
+                    assert_eq!(got, want, "case {case} step {step}");
+                }
+                6..=8 => assert_eq!(t.remove(&k), reference.remove(&k), "case {case}"),
+                _ => {
+                    t.clear();
+                    reference.clear();
+                }
+            }
+            peak = peak.max(reference.len());
+            assert!(t.iter().eq(reference.iter()), "case {case} step {step}");
+            assert!(t.keys().eq(reference.keys()), "case {case} step {step}");
+            assert_eq!(t.min_key(), reference.keys().next(), "case {case}");
+            assert_eq!(t.max_key(), reference.keys().next_back(), "case {case}");
+            assert_eq!(t.len(), reference.len(), "case {case}");
+            assert_eq!(t.get(&k), reference.get(&k), "case {case}");
+            assert_eq!(t.peak_bytes(), peak as u64 * ENTRY_BYTES, "case {case}");
+            assert_eq!(t.has_room(), reference.len() < cap, "case {case}");
         }
     }
 }
