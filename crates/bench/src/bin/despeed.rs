@@ -11,16 +11,17 @@
 //!    with a per-batch ns/op histogram summary.
 //! 2. **Scaling** — one 8-host store-heavy microbenchmark through the
 //!    monolithic engine and through the sharded engine at 1/2/4/8 workers,
-//!    asserting the run fingerprint is bit-identical at every worker count
-//!    and recording events/sec for each point.
+//!    asserting the run digest ([`cord::RunResult::digest`]) and event
+//!    count are identical at every worker count and recording events/sec
+//!    for each point.
 //!
-//! Results go to `results/BENCH_despeed.json` (`--out PATH` overrides).
-//! Unless `--no-compare` (or `CORD_DESPEED_BASELINE=skip`) is given, the
-//! run compares its events/sec against the committed baseline at
-//! `results/BENCH_despeed.json` (override path with
-//! `CORD_DESPEED_BASELINE`) and fails on a regression larger than
-//! `CORD_DESPEED_TOLERANCE` (default 0.20 = 20%, compared per entry on the
-//! matching `--quick`/full key).
+//! Results go to `results/BENCH_despeed.json` (`--out PATH` overrides),
+//! one record per mode. Unless `--no-compare` is given, the run is gated
+//! against that file as it was before the run rewrote it
+//! ([`cord_bench::record`]): queue `ops`, scaling `events` and
+//! `fingerprint` must match exactly on every host, and the single-threaded
+//! entries' `per_sec` may fall by at most 20% when the record was taken on
+//! this host's core count.
 //!
 //! Usage: `despeed [--quick] [--out PATH] [--no-compare]` — `--quick`
 //! shrinks op counts and the workload so CI finishes in seconds.
@@ -31,6 +32,7 @@ use std::time::Instant;
 
 use cord::System;
 use cord_bench::print_table;
+use cord_bench::record::{self, json_escape, Rules};
 use cord_proto::{ConsistencyModel, ProtocolKind, SystemConfig};
 use cord_sim::obs::Progress;
 use cord_sim::{DetRng, EventQueue, Time};
@@ -227,30 +229,13 @@ fn queue_cell(workload: &'static str, imp: &'static str, ops: u64, batches: usiz
     }
 }
 
-/// FNV-1a over the observable run outcome; equality across worker counts
-/// is the bit-identity proof recorded in the JSON.
-fn fingerprint(r: &cord::RunResult) -> u64 {
-    let mut stalls: Vec<_> = r.stalls.iter().map(|(c, t)| format!("{c:?}={t}")).collect();
-    stalls.sort();
-    let text = format!(
-        "{} {} {} {} {:?} {:?} {:?}",
-        r.makespan, r.drained, r.events, r.polls, r.regs, stalls, r.traffic
-    );
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 struct ScaleRow {
     engine: String,
     workers: usize,
     events: u64,
     wall_ms: f64,
     events_per_sec: f64,
-    fp: u64,
+    digest: u64,
 }
 
 /// All-to-all bulk-store workload: every tile on every host streams
@@ -302,7 +287,7 @@ fn scale_cell(iters: u32, workers: Option<usize>, reps: u32) -> ScaleRow {
             events: r.events,
             wall_ms: wall * 1e3,
             events_per_sec: r.events as f64 / wall,
-            fp: fingerprint(&r),
+            digest: r.digest(),
         };
         if best
             .as_ref()
@@ -315,85 +300,27 @@ fn scale_cell(iters: u32, workers: Option<usize>, reps: u32) -> ScaleRow {
     best.expect("reps >= 1")
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Minimal field scraper for our own JSON record: finds `"key":value`
-/// pairs inside the entry whose `"key"` matches, good enough for the
-/// regression gate without a JSON dependency.
-fn scrape_entries(json: &str, quick: bool) -> Vec<(String, f64)> {
-    let needle = format!("\"quick\":{quick}");
-    let Some(entry_at) = json.find(&needle) else {
-        return Vec::new();
-    };
-    // The matching record runs from the start of its object to the next
-    // `"bench"` key (or end of file).
-    let tail = &json[entry_at..];
-    let end = tail[1..].find("\"bench\"").map_or(tail.len(), |i| i + 1);
-    let entry = &tail[..end];
-    scrape_labels(entry)
-}
-
-/// The host core count a baseline record was taken on, from its
-/// `"cores":N` field.
-fn scrape_cores(json: &str, quick: bool) -> Option<usize> {
-    let needle = format!("\"quick\":{quick}");
-    let entry_at = json.find(&needle)?;
-    let tail = &json[entry_at..];
-    let end = tail[1..].find("\"bench\"").map_or(tail.len(), |i| i + 1);
-    let k = tail[..end].find("\"cores\":")?;
-    let num: String = tail[k + 8..end]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    num.parse().ok()
-}
-
-fn scrape_labels(entry: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut rest = entry;
-    while let Some(i) = rest.find("\"label\":\"") {
-        rest = &rest[i + 9..];
-        let Some(j) = rest.find('"') else { break };
-        let label = rest[..j].to_string();
-        let Some(k) = rest.find("\"per_sec\":") else {
-            break;
-        };
-        rest = &rest[k + 10..];
-        let num: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            out.push((label, v));
-        }
-    }
-    out
-}
+/// The gate: every deterministic field exactly; `per_sec` only for the
+/// single-threaded entries, since multi-worker points are scheduler-noisy
+/// on small machines (workers can exceed cores).
+const RULES: Rules = Rules {
+    exact: &["ops", "events", "fingerprint"],
+    timed: |label| {
+        label.starts_with("queue/") || label == "scale/monolithic" || label == "scale/sharded@1"
+    },
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let no_compare = args.iter().any(|a| a == "--no-compare")
-        || std::env::var("CORD_DESPEED_BASELINE").as_deref() == Ok("skip");
+    let no_compare = args.iter().any(|a| a == "--no-compare");
     let out = args
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "results/BENCH_despeed.json".into());
-    let baseline_path = std::env::var("CORD_DESPEED_BASELINE")
-        .unwrap_or_else(|_| "results/BENCH_despeed.json".into());
-    let tolerance: f64 = std::env::var("CORD_DESPEED_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.20);
-    // Read the committed baseline *before* this run overwrites it.
-    let baseline = if no_compare {
-        None
-    } else {
-        std::fs::read_to_string(&baseline_path).ok()
-    };
+    // The baseline is the record file as it was before this run.
+    let baseline = std::fs::read_to_string(&out).ok().filter(|_| !no_compare);
 
     let (ops, batches) = if quick { (200_000, 3) } else { (2_000_000, 7) };
     // Workers beyond the machine's cores can't speed anything up (and the
@@ -458,7 +385,8 @@ fn main() {
     let sharded: Vec<&ScaleRow> = srows.iter().filter(|r| r.engine == "sharded").collect();
     for r in &sharded[1..] {
         assert_eq!(
-            sharded[0].fp, r.fp,
+            (sharded[0].digest, sharded[0].events),
+            (r.digest, r.events),
             "sharded run diverged between 1 and {} workers",
             r.workers
         );
@@ -485,7 +413,7 @@ fn main() {
             format!("{:.1}", row.wall_ms),
             format!("{:.2}M", row.events_per_sec / 1e6),
             speedup,
-            format!("{:016x}", row.fp),
+            format!("{:016x}", row.digest),
         ]);
     }
     print_table(
@@ -502,10 +430,6 @@ fn main() {
     );
 
     // -- JSON record ------------------------------------------------------
-    // One single-line record per mode; the file is a two-element array so a
-    // `--quick` CI run and a full local run each update their own entry
-    // without clobbering the other's baseline.
-    let mut entries: Vec<(String, f64)> = Vec::new();
     let mut json =
         format!("{{\"bench\":\"despeed\",\"quick\":{quick},\"cores\":{cores},\"queue\":[");
     for (i, row) in qrows.iter().enumerate() {
@@ -521,7 +445,6 @@ fn main() {
             row.batch_ns_max,
             if i + 1 < qrows.len() { "," } else { "" }
         ));
-        entries.push((label, row.ops_per_sec));
     }
     json.push_str("],\"scaling\":[");
     for (i, row) in srows.iter().enumerate() {
@@ -538,10 +461,9 @@ fn main() {
             row.events,
             row.wall_ms,
             row.events_per_sec,
-            row.fp,
+            row.digest,
             if i + 1 < srows.len() { "," } else { "" }
         ));
-        entries.push((label, row.events_per_sec));
     }
     let best = sharded
         .iter()
@@ -553,87 +475,6 @@ fn main() {
         best,
         profile.to_json()
     ));
-    // Preserve the other mode's record, keeping quick-then-full order.
-    let other_tag = format!("\"quick\":{}", !quick);
-    let other = std::fs::read_to_string(&out)
-        .ok()
-        .and_then(|old| {
-            old.lines()
-                .find(|l| l.contains(&other_tag))
-                .map(str::to_string)
-        })
-        .map(|l| l.trim_end_matches(',').to_string());
-    let records: Vec<String> = if quick {
-        [Some(json), other].into_iter().flatten().collect()
-    } else {
-        [other, Some(json)].into_iter().flatten().collect()
-    };
-    let file = format!("[\n{}\n]\n", records.join(",\n"));
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    std::fs::write(&out, &file).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
-    println!("\nrecord written to {out}");
-
-    // -- Regression gate --------------------------------------------------
-    if let Some(base) = baseline {
-        let old = scrape_entries(&base, quick);
-        if old.is_empty() {
-            println!("no matching baseline entry (quick={quick}) in {baseline_path}; gate skipped");
-            return;
-        }
-        // Throughput baselines only transfer between same-width hosts; on a
-        // different machine the comparison is advisory, not a gate.
-        if let Some(base_cores) = scrape_cores(&base, quick) {
-            if base_cores != cores {
-                println!(
-                    "WARNING: baseline in {baseline_path} was recorded on {base_cores} core(s) \
-                     but this host has {cores}; throughputs are not comparable — gate skipped"
-                );
-                return;
-            }
-        }
-        let mut failures = Vec::new();
-        let mut gated = 0usize;
-        for (label, old_eps) in &old {
-            // Multi-worker points are scheduler-noisy on small CI machines
-            // (workers can exceed cores); gate only the stable
-            // single-threaded entries.
-            if !(label.starts_with("queue/")
-                || label == "scale/monolithic"
-                || label == "scale/sharded@1")
-            {
-                continue;
-            }
-            let Some((_, new_eps)) = entries.iter().find(|(l, _)| l == label) else {
-                continue;
-            };
-            gated += 1;
-            if *new_eps < old_eps * (1.0 - tolerance) {
-                failures.push(format!(
-                    "{label}: {:.2}M/s -> {:.2}M/s ({:+.1}%)",
-                    old_eps / 1e6,
-                    new_eps / 1e6,
-                    (new_eps / old_eps - 1.0) * 100.0
-                ));
-            }
-        }
-        if failures.is_empty() {
-            println!(
-                "regression gate: ok ({gated} entries within {:.0}% of {baseline_path})",
-                tolerance * 100.0
-            );
-        } else {
-            eprintln!(
-                "regression gate FAILED (tolerance {:.0}%):",
-                tolerance * 100.0
-            );
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+    record::write(&out, quick, &json);
+    record::gate(baseline.as_deref(), &json, quick, &out, &RULES);
 }

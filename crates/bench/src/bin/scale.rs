@@ -11,26 +11,28 @@
 //!   storage axes extended past the paper's 8 PUs;
 //! * **notification fan-out** from the fabric's sparse per-pair flow
 //!   accounting: total ReqNotify/Notify messages, how many host pairs
-//!   carried them, and the hottest pair.
+//!   carried them, and the hottest pair;
+//! * the run digest ([`cord::RunResult::digest`], pair flows included).
 //!
 //! A separate identity block reruns one 64-host cell through the sharded
-//! engine at 1/2/4/8 workers: every worker count must produce a
-//! bit-identical run fingerprint, and the monolithic engine must agree on
-//! the run's semantics (final registers — its event accounting legitimately
+//! engine at 1/2/4/8 workers: every worker count must produce the same
+//! digest and event count, and the monolithic engine must agree on the
+//! run's semantics (final registers — its event accounting legitimately
 //! differs, see `tests/sharded.rs`).
 //!
 //! Results go to `results/BENCH_scale.json` (`--out PATH` overrides) as a
 //! two-record array (one `--quick` line for CI, one full line for local
-//! runs). Unless `--no-compare` (or `CORD_SCALE_BASELINE=skip`) is given,
-//! events/sec are compared against the committed baseline
-//! (`CORD_SCALE_BASELINE` overrides the path) and the run fails on a
-//! regression larger than `CORD_SCALE_TOLERANCE` (default 0.20 = 20%).
-//! Baselines recorded on a different core count are warned about and
-//! skipped, never gated.
+//! runs). Unless `--no-compare` is given, the run is gated against that
+//! file as it was before the run rewrote it ([`cord_bench::record`]):
+//! every deterministic field of every cell and of the identity block must
+//! match exactly on every host, and a cell's events/sec may fall by at most
+//! 20% when the record was taken on this host's core count (otherwise
+//! events/sec is warned about and skipped).
 //!
 //! `CORD_SCALE_CELLS=<hosts>[,<hosts>…]` restricts the sweep to the named
 //! host counts (e.g. for profiling one cell with `CORD_PROFILE=1`); a
 //! filtered sweep skips the identity block, the record write, and the gate.
+//! A token that is not a host count of the sweep is rejected.
 //!
 //! Usage: `scale [--quick] [--out PATH] [--no-compare]`
 
@@ -38,6 +40,7 @@ use std::time::Instant;
 
 use cord::System;
 use cord_bench::print_table;
+use cord_bench::record::{self, json_escape, Rules};
 use cord_noc::{Fabric, NocConfig};
 use cord_proto::{ConsistencyModel, ProtocolKind, SystemConfig};
 use cord_sim::obs::Progress;
@@ -121,23 +124,6 @@ fn build_system(hosts: u32, fabric: &str, kv: &KvSpec) -> System {
     sys
 }
 
-/// FNV-1a over the observable run outcome; equality across engines and
-/// worker counts is the bit-identity proof recorded in the JSON.
-fn fingerprint(r: &cord::RunResult) -> u64 {
-    let mut stalls: Vec<_> = r.stalls.iter().map(|(c, t)| format!("{c:?}={t}")).collect();
-    stalls.sort();
-    let text = format!(
-        "{} {} {} {} {:?} {:?} {:?} {:?}",
-        r.makespan, r.drained, r.events, r.polls, r.regs, stalls, r.traffic, r.pair_flows
-    );
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 struct CellRow {
     label: String,
     hosts: u32,
@@ -153,6 +139,7 @@ struct CellRow {
     notify_msgs: u64,
     notify_pairs: u64,
     notify_max_pair: u64,
+    digest: u64,
 }
 
 fn run_cell(cell: &Cell, kv: &KvSpec) -> CellRow {
@@ -202,6 +189,7 @@ fn run_cell(cell: &Cell, kv: &KvSpec) -> CellRow {
         notify_msgs,
         notify_pairs,
         notify_max_pair,
+        digest: r.digest(),
     }
 }
 
@@ -235,88 +223,52 @@ fn print_sweep_table(title: &str, rows: &[CellRow]) {
     );
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Minimal field scraper for our own JSON record (no JSON dependency):
-/// `(label, per_sec)` pairs from the entry matching `quick`.
-fn scrape_entries(json: &str, quick: bool) -> Vec<(String, f64)> {
-    let needle = format!("\"quick\":{quick}");
-    let Some(entry_at) = json.find(&needle) else {
-        return Vec::new();
-    };
-    let tail = &json[entry_at..];
-    let end = tail[1..].find("\"bench\"").map_or(tail.len(), |i| i + 1);
-    let entry = &tail[..end];
-    let mut out = Vec::new();
-    let mut rest = entry;
-    while let Some(i) = rest.find("\"label\":\"") {
-        rest = &rest[i + 9..];
-        let Some(j) = rest.find('"') else { break };
-        let label = rest[..j].to_string();
-        let Some(k) = rest.find("\"per_sec\":") else {
-            break;
-        };
-        rest = &rest[k + 10..];
-        let num: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            out.push((label, v));
-        }
-    }
-    out
-}
-
-/// The host core count a baseline record was taken on (`"cores":N`).
-fn scrape_cores(json: &str, quick: bool) -> Option<usize> {
-    let needle = format!("\"quick\":{quick}");
-    let entry_at = json.find(&needle)?;
-    let tail = &json[entry_at..];
-    let end = tail[1..].find("\"bench\"").map_or(tail.len(), |i| i + 1);
-    let k = tail[..end].find("\"cores\":")?;
-    let num: String = tail[k + 8..end]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    num.parse().ok()
-}
+/// The gate: every deterministic field exactly, events/sec on every cell.
+const RULES: Rules = Rules {
+    exact: &[
+        "sessions",
+        "events",
+        "makespan_ns",
+        "proc_cnt_peak",
+        "dir_lut_peak",
+        "dir_buf_peak",
+        "notify_msgs",
+        "notify_pairs",
+        "notify_max_pair",
+        "fingerprint",
+    ],
+    timed: |_| true,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let no_compare = args.iter().any(|a| a == "--no-compare")
-        || std::env::var("CORD_SCALE_BASELINE").as_deref() == Ok("skip");
+    let no_compare = args.iter().any(|a| a == "--no-compare");
     let out = args
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "results/BENCH_scale.json".into());
-    let baseline_path =
-        std::env::var("CORD_SCALE_BASELINE").unwrap_or_else(|_| "results/BENCH_scale.json".into());
-    let tolerance: f64 = std::env::var("CORD_SCALE_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.20);
-    // Read the committed baseline *before* this run overwrites it.
-    let baseline = if no_compare {
-        None
-    } else {
-        std::fs::read_to_string(&baseline_path).ok()
-    };
+    // The baseline is the record file as it was before this run.
+    let baseline = std::fs::read_to_string(&out).ok().filter(|_| !no_compare);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // CORD_SCALE_CELLS=128,512 → only those host counts, no record/gate
     // (partial sweeps must never clobber or be compared to the full record).
-    let only: Option<Vec<u32>> = std::env::var("CORD_SCALE_CELLS")
-        .ok()
-        .map(|s| s.split(',').filter_map(|t| t.trim().parse().ok()).collect());
     let all: &[Cell] = if quick { &QUICK_CELLS } else { &FULL_CELLS };
+    let only = std::env::var("CORD_SCALE_CELLS").ok();
+    let tokens = || only.iter().flat_map(|o| o.split(',').map(str::trim));
+    let valid: Vec<String> = all.iter().map(|c| c.hosts.to_string()).collect();
+    if let Some(bad) = tokens().find(|t| !valid.iter().any(|v| v == t)) {
+        eprintln!(
+            "CORD_SCALE_CELLS: {bad:?} is not a host count of this sweep (valid: {})",
+            valid.join(",")
+        );
+        std::process::exit(2);
+    }
     let cells: Vec<&Cell> = all
         .iter()
-        .filter(|c| only.as_ref().is_none_or(|o| o.contains(&c.hosts)))
+        .filter(|c| only.is_none() || tokens().any(|t| t == c.hosts.to_string()))
         .collect();
     let filtered = only.is_some();
     let kv = kv_spec(quick);
@@ -361,7 +313,7 @@ fn main() {
         prog.inc(1);
         r.regs
     };
-    let mut sharded_fp: Option<u64> = None;
+    let mut sharded: Option<(u64, u64)> = None;
     for workers in IDENTITY_WORKERS {
         let mut sys = build_system(idn_cell.hosts, idn_cell.fabric, &idn_kv);
         sys.set_sim_threads(Some(workers));
@@ -371,16 +323,16 @@ fn main() {
             r.regs, mono_regs,
             "sharded observations at {workers} workers diverged from monolithic"
         );
-        let fp = fingerprint(&r);
-        match sharded_fp {
-            None => sharded_fp = Some(fp),
+        let id = (r.digest(), r.events);
+        match sharded {
+            None => sharded = Some(id),
             Some(base) => assert_eq!(
-                fp, base,
+                id, base,
                 "sharded run at {workers} workers diverged from 1 worker"
             ),
         }
     }
-    let mono = sharded_fp.expect("at least one identity run");
+    let (idn_digest, idn_events) = sharded.expect("at least one identity run");
     prog.finish(&format!(
         "scale: {} cell(s), identity ok at {}PU x {:?} workers",
         rows.len(),
@@ -392,14 +344,14 @@ fn main() {
     print_sweep_table(&format!("Causal-KV scale sweep ({cores} core(s))"), &rows);
 
     // -- JSON record -------------------------------------------------------
-    let mut entries: Vec<(String, f64)> = Vec::new();
     let mut json = format!("{{\"bench\":\"scale\",\"quick\":{quick},\"cores\":{cores},\"cells\":[");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "{{\"label\":\"{}\",\"hosts\":{},\"fabric\":\"{}\",\"sessions\":{},\
              \"events\":{},\"wall_ms\":{:.3},\"per_sec\":{:.0},\"makespan_ns\":{:.1},\
              \"proc_cnt_peak\":{},\"dir_lut_peak\":{},\"dir_buf_peak\":{},\
-             \"notify_msgs\":{},\"notify_pairs\":{},\"notify_max_pair\":{}}}{}",
+             \"notify_msgs\":{},\"notify_pairs\":{},\"notify_max_pair\":{},\
+             \"fingerprint\":\"{:016x}\"}}{}",
             json_escape(&r.label),
             r.hosts,
             json_escape(&r.fabric),
@@ -414,88 +366,16 @@ fn main() {
             r.notify_msgs,
             r.notify_pairs,
             r.notify_max_pair,
+            r.digest,
             if i + 1 < rows.len() { "," } else { "" }
         ));
-        entries.push((r.label.clone(), r.events_per_sec));
     }
     let total_sessions: u64 = rows.iter().map(|r| r.sessions).sum();
     json.push_str(&format!(
-        "],\"identity\":{{\"hosts\":{},\"workers\":{:?},\"fingerprint\":\"{:016x}\"}},\
-         \"total_sessions\":{}}}",
-        idn_cell.hosts, IDENTITY_WORKERS, mono, total_sessions
+        "],\"identity\":{{\"label\":\"identity/{}PU\",\"hosts\":{},\"workers\":{:?},\
+         \"events\":{},\"fingerprint\":\"{:016x}\"}},\"total_sessions\":{}}}",
+        idn_cell.hosts, idn_cell.hosts, IDENTITY_WORKERS, idn_events, idn_digest, total_sessions
     ));
-    // Preserve the other mode's record, keeping quick-then-full order.
-    let other_tag = format!("\"quick\":{}", !quick);
-    let other = std::fs::read_to_string(&out)
-        .ok()
-        .and_then(|old| {
-            old.lines()
-                .find(|l| l.contains(&other_tag))
-                .map(str::to_string)
-        })
-        .map(|l| l.trim_end_matches(',').to_string());
-    let records: Vec<String> = if quick {
-        [Some(json), other].into_iter().flatten().collect()
-    } else {
-        [other, Some(json)].into_iter().flatten().collect()
-    };
-    let file = format!("[\n{}\n]\n", records.join(",\n"));
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    std::fs::write(&out, &file).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
-    println!("\nrecord written to {out}");
-
-    // -- Regression gate ---------------------------------------------------
-    if let Some(base) = baseline {
-        let old = scrape_entries(&base, quick);
-        if old.is_empty() {
-            println!("no matching baseline entry (quick={quick}) in {baseline_path}; gate skipped");
-            return;
-        }
-        // Throughput baselines only transfer between same-width hosts; on a
-        // different machine the comparison is advisory, not a gate.
-        if let Some(base_cores) = scrape_cores(&base, quick) {
-            if base_cores != cores {
-                println!(
-                    "WARNING: baseline in {baseline_path} was recorded on {base_cores} core(s) \
-                     but this host has {cores}; throughputs are not comparable — gate skipped"
-                );
-                return;
-            }
-        }
-        let mut failures = Vec::new();
-        let mut gated = 0usize;
-        for (label, old_eps) in &old {
-            let Some((_, new_eps)) = entries.iter().find(|(l, _)| l == label) else {
-                continue;
-            };
-            gated += 1;
-            if *new_eps < old_eps * (1.0 - tolerance) {
-                failures.push(format!(
-                    "{label}: {:.2}M/s -> {:.2}M/s ({:+.1}%)",
-                    old_eps / 1e6,
-                    new_eps / 1e6,
-                    (new_eps / old_eps - 1.0) * 100.0
-                ));
-            }
-        }
-        if failures.is_empty() {
-            println!(
-                "regression gate: ok ({gated} cell(s) within {:.0}% of {baseline_path})",
-                tolerance * 100.0
-            );
-        } else {
-            eprintln!(
-                "regression gate FAILED (tolerance {:.0}%):",
-                tolerance * 100.0
-            );
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+    record::write(&out, quick, &json);
+    record::gate(baseline.as_deref(), &json, quick, &out, &RULES);
 }

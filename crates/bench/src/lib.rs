@@ -5,13 +5,14 @@
 //! prints the same rows/series the paper reports. This library holds the
 //! pieces they share: protocol/fabric selection, run helpers, the parallel
 //! [`sweep`] engine (worker-pool fan-out with deterministic input-order
-//! collection and `BENCH_sweeps.json` timing records), and plain-text table
-//! formatting.
+//! collection and `BENCH_sweeps.json` timing records), the bench [`record`]
+//! writer and regression gate, and plain-text table formatting.
 //!
 //! Absolute numbers will differ from the paper's gem5 testbed; the
 //! *comparisons* (who wins, by roughly what factor, where crossovers fall)
 //! are the reproduction target — see EXPERIMENTS.md.
 
+pub mod record;
 pub mod sweep;
 
 use cord::{RunResult, System};

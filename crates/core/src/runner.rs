@@ -347,7 +347,95 @@ impl RunResult {
     pub fn completion(&self) -> Time {
         self.makespan.max(self.drained)
     }
+
+    /// The run's canonical digest: 64-bit FNV-1a over an explicit list of
+    /// simulated fields, each hashed as a number, never as `Debug` text.
+    ///
+    /// The list is makespan, drain time, final registers, per-class
+    /// traffic, every fault counter, stalls by cause, storage peaks, polls
+    /// and, when pair accounting was on, the per-pair flows prefixed by
+    /// their count (so an empty ledger differs from none). `events` is left out (an engine detail; identity checks
+    /// compare it next to the digest), and so is everything host-side.
+    /// A new `RunResult` field does not change the digest; changing the
+    /// list bumps `DIGEST_VERSION`.
+    pub fn digest(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut word = |w: u64| {
+            for b in w.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        word(DIGEST_VERSION);
+        word(self.makespan.as_ps());
+        word(self.drained.as_ps());
+        word(self.regs.len() as u64);
+        self.regs.iter().flatten().for_each(|&v| word(v));
+        for (class, c) in self.traffic.iter() {
+            word(class as u64);
+            for v in [c.inter_bytes, c.inter_msgs, c.intra_bytes, c.intra_msgs] {
+                word(v);
+            }
+        }
+        let f = &self.traffic.faults;
+        for v in [
+            f.dropped,
+            f.duplicated,
+            f.delayed,
+            f.retransmits,
+            f.spurious_retransmits,
+            f.dup_dropped,
+            f.sessions_reset,
+            f.replayed,
+            f.stale_rejected,
+        ] {
+            word(v);
+        }
+        assert!(
+            self.stalls.keys().all(|c| STALL_CAUSES.contains(c)),
+            "a stall cause is missing from STALL_CAUSES"
+        );
+        for c in STALL_CAUSES {
+            word(self.stall(c).as_ps());
+        }
+        word(self.proc_storages.len() as u64);
+        for s in &self.proc_storages {
+            word(s.peak_cnt_bytes);
+            word(s.peak_other_bytes);
+        }
+        word(self.dir_storages.len() as u64);
+        for s in &self.dir_storages {
+            word(s.peak_lut_bytes);
+            word(s.peak_buf_bytes);
+        }
+        word(self.polls);
+        if let Some(flows) = &self.pair_flows {
+            word(flows.len() as u64);
+            for &(src, dst, f) in flows {
+                for v in [src.into(), dst.into(), f.msgs, f.bytes, f.notify_msgs] {
+                    word(v);
+                }
+            }
+        }
+        h
+    }
 }
+
+/// Folded into every [`RunResult::digest`] so a change to its field list
+/// cannot collide with an older record.
+const DIGEST_VERSION: u64 = 1;
+
+/// Stall causes in the digest's fixed order (`RunResult::stalls` is a
+/// `HashMap`). A new [`StallCause`] is appended here with a
+/// `DIGEST_VERSION` bump.
+const STALL_CAUSES: [StallCause; 7] = [
+    StallCause::AckWait,
+    StallCause::StoreWindow,
+    StallCause::TableFull,
+    StallCause::Overflow,
+    StallCause::StoreBuffer,
+    StallCause::Recovery,
+    StallCause::Other,
+];
 
 /// A complete simulated multi-PU system.
 ///
@@ -2175,5 +2263,165 @@ mod tests {
         assert_eq!(cord.regs[8][0], 1);
         let mp = faulted_run(ProtocolKind::Mp, "seed=5; jitter=300");
         assert_eq!(mp.regs[8][0], 1);
+    }
+
+    /// Every field on the digest's list moves it, including each stall
+    /// cause, fault counter and traffic class.
+    #[test]
+    fn digest_covers_every_listed_field() {
+        let base = run(ProtocolKind::Cord);
+        let d = base.digest();
+        let bump = |t: &mut Time| *t += Time::from_ps(1);
+        type Edit = Box<dyn Fn(&mut RunResult)>;
+        let mut edits: Vec<(String, Edit)> = vec![
+            ("makespan".into(), Box::new(move |r| bump(&mut r.makespan))),
+            ("drained".into(), Box::new(move |r| bump(&mut r.drained))),
+            ("regs".into(), Box::new(|r| r.regs[3][15] ^= 1)),
+            ("regs.len".into(), Box::new(|r| r.regs.push([0; 16]))),
+            ("polls".into(), Box::new(|r| r.polls += 1)),
+            (
+                "proc.cnt".into(),
+                Box::new(|r| r.proc_storages[0].peak_cnt_bytes += 1),
+            ),
+            (
+                "proc.other".into(),
+                Box::new(|r| r.proc_storages[0].peak_other_bytes += 1),
+            ),
+            (
+                "proc.len".into(),
+                Box::new(|r| r.proc_storages.push(Default::default())),
+            ),
+            (
+                "dir.lut".into(),
+                Box::new(|r| r.dir_storages[1].peak_lut_bytes += 1),
+            ),
+            (
+                "dir.buf".into(),
+                Box::new(|r| r.dir_storages[1].peak_buf_bytes += 1),
+            ),
+            (
+                "dir.len".into(),
+                Box::new(|r| r.dir_storages.push(Default::default())),
+            ),
+            (
+                "pair_flows".into(),
+                Box::new(|r| r.pair_flows = Some(Vec::new())),
+            ),
+        ];
+        for class in MsgClass::ALL {
+            let counters: [fn(&mut cord_noc::ClassStats) -> &mut u64; 4] = [
+                |c| &mut c.inter_bytes,
+                |c| &mut c.inter_msgs,
+                |c| &mut c.intra_bytes,
+                |c| &mut c.intra_msgs,
+            ];
+            for (i, field) in counters.into_iter().enumerate() {
+                edits.push((
+                    format!("traffic.{class:?}.{i}"),
+                    Box::new(move |r| *field(&mut r.traffic[class]) += 1),
+                ));
+            }
+        }
+        let faults: [fn(&mut cord_noc::FaultStats) -> &mut u64; 9] = [
+            |f| &mut f.dropped,
+            |f| &mut f.duplicated,
+            |f| &mut f.delayed,
+            |f| &mut f.retransmits,
+            |f| &mut f.spurious_retransmits,
+            |f| &mut f.dup_dropped,
+            |f| &mut f.sessions_reset,
+            |f| &mut f.replayed,
+            |f| &mut f.stale_rejected,
+        ];
+        for (i, field) in faults.into_iter().enumerate() {
+            edits.push((
+                format!("faults.{i}"),
+                Box::new(move |r| *field(&mut r.traffic.faults) += 1),
+            ));
+        }
+        for cause in STALL_CAUSES {
+            edits.push((
+                format!("stall.{cause:?}"),
+                Box::new(move |r| bump(r.stalls.entry(cause).or_insert(Time::ZERO))),
+            ));
+        }
+        for (name, edit) in &edits {
+            let mut r = base.clone();
+            edit(&mut r);
+            assert_ne!(r.digest(), d, "digest ignores {name}");
+        }
+
+        // `events` is an engine detail, not part of the digest.
+        let mut r = base.clone();
+        r.events += 1;
+        assert_eq!(r.digest(), d);
+    }
+
+    /// Pair flows hash behind their count: an empty ledger differs from no
+    /// ledger, and each flow counter moves the digest.
+    #[test]
+    fn digest_tags_pair_flows() {
+        let mut r = run(ProtocolKind::Cord);
+        let off = r.digest();
+        r.pair_flows = Some(Vec::new());
+        let empty = r.digest();
+        assert_ne!(off, empty);
+        r.pair_flows = Some(vec![(0, 1, PairFlow::default())]);
+        let one = r.digest();
+        assert_ne!(one, empty);
+        for bump in [
+            |f: &mut (u32, u32, PairFlow)| f.0 += 1,
+            |f: &mut (u32, u32, PairFlow)| f.1 += 1,
+            |f: &mut (u32, u32, PairFlow)| f.2.msgs += 1,
+            |f: &mut (u32, u32, PairFlow)| f.2.bytes += 1,
+            |f: &mut (u32, u32, PairFlow)| f.2.notify_msgs += 1,
+        ] {
+            let mut moved = r.clone();
+            bump(&mut moved.pair_flows.as_mut().unwrap()[0]);
+            assert_ne!(moved.digest(), one);
+        }
+    }
+
+    /// Metrics, sampled series and the wall-clock profile are host-side
+    /// annotations: arming them leaves the digest (and `events`) alone.
+    #[test]
+    fn digest_ignores_annotations() {
+        let system = || {
+            let cfg = SystemConfig::cxl(ProtocolKind::Cord, 2);
+            let programs = producer_consumer(&cfg, 16);
+            System::new(cfg, programs)
+        };
+        let plain = system().run();
+        let mut sys = system();
+        sys.tracer_mut()
+            .attach_metrics(cord_sim::trace::MetricsRecorder::default());
+        sys.set_sampling(Some(Time::from_ns(100)));
+        sys.set_profiling(true);
+        let armed = sys.run();
+        assert!(armed.metrics.is_some() && armed.obs.is_some() && armed.profile.is_some());
+        assert_eq!(armed.digest(), plain.digest());
+        assert_eq!(armed.events, plain.events);
+    }
+
+    /// `STALL_CAUSES` must list every `StallCause`, in order. The match is
+    /// exhaustive on purpose: a new variant stops this test compiling until
+    /// it is given the next ordinal here and appended to `STALL_CAUSES`
+    /// (and `digest` refuses any run that stalled on an unlisted cause).
+    #[test]
+    fn digest_lists_every_stall_cause() {
+        fn ordinal(c: StallCause) -> usize {
+            match c {
+                StallCause::AckWait => 0,
+                StallCause::StoreWindow => 1,
+                StallCause::TableFull => 2,
+                StallCause::Overflow => 3,
+                StallCause::StoreBuffer => 4,
+                StallCause::Recovery => 5,
+                StallCause::Other => 6,
+            }
+        }
+        for (i, &c) in STALL_CAUSES.iter().enumerate() {
+            assert_eq!(ordinal(c), i, "{c:?} out of place in STALL_CAUSES");
+        }
     }
 }

@@ -509,6 +509,10 @@ fn parse_flight_line(line: &str) -> Result<(u32, TraceEvent), String> {
             .parse()
             .map_err(|e| format!("field {k}: {e}"))
     };
+    let num32 = |k: &str| -> Result<u32, String> {
+        let v = num(k)?;
+        u32::try_from(v).map_err(|_| format!("field {k}: {v} is out of range for u32"))
+    };
     let label = |k: &str| -> Result<&'static str, String> {
         Ok(intern_label(
             fields.get(k).ok_or_else(|| format!("missing field {k}"))?,
@@ -523,126 +527,126 @@ fn parse_flight_line(line: &str) -> Result<(u32, TraceEvent), String> {
     };
     let data = match kind {
         "msg_send" => TraceData::MsgSend {
-            src: num("src")? as u32,
-            dst: num("dst")? as u32,
+            src: num32("src")?,
+            dst: num32("dst")?,
             kind: label("kind")?,
             class: label("class")?,
             bytes: num("bytes")?,
             arrive: Time::from_ps(num("arrive")?),
         },
         "msg_deliver" => TraceData::MsgDeliver {
-            src: num("src")? as u32,
-            dst: num("dst")? as u32,
+            src: num32("src")?,
+            dst: num32("dst")?,
             kind: label("kind")?,
             class: label("class")?,
             bytes: num("bytes")?,
         },
         "store_issue" => TraceData::StoreIssue {
-            core: num("core")? as u32,
+            core: num32("core")?,
             tid: num("tid")?,
             addr: num("addr")?,
-            bytes: num("bytes")? as u32,
+            bytes: num32("bytes")?,
             release: num("release")? != 0,
             epoch: opt("epoch")?,
         },
         "store_commit" => TraceData::StoreCommit {
-            dir: num("dir")? as u32,
-            core: num("core")? as u32,
+            dir: num32("dir")?,
+            core: num32("core")?,
             tid: num("tid")?,
             addr: num("addr")?,
             release: num("release")? != 0,
             epoch: opt("epoch")?,
         },
         "epoch_open" => TraceData::EpochOpen {
-            core: num("core")? as u32,
+            core: num32("core")?,
             epoch: num("epoch")?,
         },
         "epoch_close" => TraceData::EpochClose {
-            core: num("core")? as u32,
+            core: num32("core")?,
             epoch: num("epoch")?,
-            fanout: num("fanout")? as u32,
+            fanout: num32("fanout")?,
         },
         "notify_request" => TraceData::NotifyRequest {
-            core: num("core")? as u32,
-            pending_dir: num("pending_dir")? as u32,
-            dst_dir: num("dst_dir")? as u32,
+            core: num32("core")?,
+            pending_dir: num32("pending_dir")?,
+            dst_dir: num32("dst_dir")?,
             epoch: num("epoch")?,
         },
         "notify_arrive" => TraceData::NotifyArrive {
-            dir: num("dir")? as u32,
-            core: num("core")? as u32,
+            dir: num32("dir")?,
+            core: num32("core")?,
             epoch: num("epoch")?,
         },
         "table_insert" => TraceData::TableInsert {
             node: label("node")?,
-            id: num("id")? as u32,
+            id: num32("id")?,
             table: label("table")?,
             occ: num("occ")?,
             cap: num("cap")?,
         },
         "table_evict" => TraceData::TableEvict {
             node: label("node")?,
-            id: num("id")? as u32,
+            id: num32("id")?,
             table: label("table")?,
             occ: num("occ")?,
             cap: num("cap")?,
         },
         "table_stall_full" => TraceData::TableStallFull {
             node: label("node")?,
-            id: num("id")? as u32,
+            id: num32("id")?,
             table: label("table")?,
             cap: num("cap")?,
         },
         "stall_begin" => TraceData::StallBegin {
-            core: num("core")? as u32,
+            core: num32("core")?,
             cause: label("cause")?,
         },
         "stall_end" => TraceData::StallEnd {
-            core: num("core")? as u32,
+            core: num32("core")?,
             cause: label("cause")?,
             since: Time::from_ps(num("since")?),
         },
         "fault_inject" => TraceData::FaultInject {
-            src: num("src")? as u32,
-            dst: num("dst")? as u32,
+            src: num32("src")?,
+            dst: num32("dst")?,
             class: label("class")?,
             fault: label("fault")?,
             extra: Time::from_ps(num("extra")?),
         },
         "xport_retrans" => TraceData::XportRetrans {
-            src: num("src")? as u32,
-            dst: num("dst")? as u32,
+            src: num32("src")?,
+            dst: num32("dst")?,
             seq: num("seq")?,
-            attempt: num("attempt")? as u32,
+            attempt: num32("attempt")?,
         },
         "xport_dup_drop" => TraceData::XportDupDrop {
-            src: num("src")? as u32,
-            dst: num("dst")? as u32,
+            src: num32("src")?,
+            dst: num32("dst")?,
             seq: num("seq")?,
         },
         "crash_inject" => TraceData::CrashInject {
-            host: num("host")? as u32,
+            host: num32("host")?,
             kind: label("kind")?,
-            units: num("units")? as u32,
+            units: num32("units")?,
         },
         "recover_begin" => TraceData::RecoverBegin {
-            core: num("core")? as u32,
-            dir: num("dir")? as u32,
+            core: num32("core")?,
+            dir: num32("dir")?,
         },
         "recover_end" => TraceData::RecoverEnd {
-            core: num("core")? as u32,
+            core: num32("core")?,
             since: Time::from_ps(num("since")?),
-            sends: num("sends")? as u32,
+            sends: num32("sends")?,
         },
         "xport_stale_rej" => TraceData::XportStaleRej {
-            src: num("src")? as u32,
-            dst: num("dst")? as u32,
+            src: num32("src")?,
+            dst: num32("dst")?,
             seq: num("seq")?,
-            sess: num("sess")? as u32,
+            sess: num32("sess")?,
         },
         "stale_drop" => TraceData::StaleDrop {
-            dir: num("dir")? as u32,
-            core: num("core")? as u32,
+            dir: num32("dir")?,
+            core: num32("core")?,
             ep: num("ep")?,
             what: label("what")?,
         },
@@ -1169,6 +1173,8 @@ mod tests {
         assert!(parse_flight("not a flight file").is_err());
         assert!(parse_flight("# cord-flight v1\n0 1 2 bogus_kind a=1").is_err());
         assert!(parse_flight("# cord-flight v1\n0 1 2 epoch_open core=0").is_err());
+        let wide = parse_flight("# cord-flight v1\n0 1 2 epoch_open core=4294967296 epoch=0");
+        assert!(wide.unwrap_err().contains("field core"));
     }
 
     #[test]

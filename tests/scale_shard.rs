@@ -35,25 +35,10 @@ fn kv_system(hosts: u32, fabric: &str) -> System {
     sys
 }
 
-/// Everything observable about a run, rendered to a comparable string —
-/// including the sparse per-host-pair traffic ledger the scale bench reads.
-fn fingerprint(r: &RunResult) -> String {
-    let mut stalls: Vec<_> = r.stalls.iter().map(|(c, t)| format!("{c:?}={t}")).collect();
-    stalls.sort();
-    format!(
-        "makespan={} drained={} events={} polls={} regs={:?} stalls=[{}] \
-         traffic={:?} proc={:?} dir={:?} pairs={:?}",
-        r.makespan,
-        r.drained,
-        r.events,
-        r.polls,
-        r.regs,
-        stalls.join(","),
-        r.traffic,
-        r.proc_storages,
-        r.dir_storages,
-        r.pair_flows,
-    )
+/// A run's identity across worker counts: its digest (which covers the
+/// sparse per-host-pair ledger the scale bench reads), and its event count.
+fn identity(r: &RunResult) -> (u64, u64) {
+    (r.digest(), r.events)
 }
 
 fn run_with_workers(mut sys: System, workers: usize) -> RunResult {
@@ -80,12 +65,12 @@ fn traced_run(mut sys: System, workers: usize) -> (Vec<String>, String) {
 
 #[test]
 fn kv_results_identical_at_64_hosts_across_worker_counts() {
-    let base = fingerprint(&run_with_workers(
+    let base = identity(&run_with_workers(
         kv_system(64, "fattree 8 2 40 120 400"),
         1,
     ));
     for workers in [2, 4, 8] {
-        let got = fingerprint(&run_with_workers(
+        let got = identity(&run_with_workers(
             kv_system(64, "fattree 8 2 40 120 400"),
             workers,
         ));
@@ -112,9 +97,9 @@ fn kv_traces_and_metrics_identical_at_64_hosts() {
 /// cross-pod notifications arrive much later.
 #[test]
 fn kv_results_identical_on_pods_fabric() {
-    let base = fingerprint(&run_with_workers(kv_system(16, "pods 4 200 600"), 1));
+    let base = identity(&run_with_workers(kv_system(16, "pods 4 200 600"), 1));
     for workers in [2, 8] {
-        let got = fingerprint(&run_with_workers(kv_system(16, "pods 4 200 600"), workers));
+        let got = identity(&run_with_workers(kv_system(16, "pods 4 200 600"), workers));
         assert_eq!(
             base, got,
             "pods-fabric KV run diverged at {workers} workers"

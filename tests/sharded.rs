@@ -37,23 +37,10 @@ fn app_system(name: &str, hosts: u32, faults: bool) -> System {
     sys
 }
 
-/// Everything observable about a run, rendered to a comparable string.
-fn fingerprint(r: &RunResult) -> String {
-    let mut stalls: Vec<_> = r.stalls.iter().map(|(c, t)| format!("{c:?}={t}")).collect();
-    stalls.sort();
-    format!(
-        "makespan={} drained={} events={} polls={} regs={:?} stalls=[{}] \
-         traffic={:?} proc={:?} dir={:?}",
-        r.makespan,
-        r.drained,
-        r.events,
-        r.polls,
-        r.regs,
-        stalls.join(","),
-        r.traffic,
-        r.proc_storages,
-        r.dir_storages,
-    )
+/// A run's identity across worker counts: its digest, and its event count
+/// (which the digest leaves out).
+fn identity(r: &RunResult) -> (u64, u64) {
+    (r.digest(), r.events)
 }
 
 fn run_with_workers(mut sys: System, workers: usize) -> RunResult {
@@ -64,9 +51,9 @@ fn run_with_workers(mut sys: System, workers: usize) -> RunResult {
 #[test]
 fn results_identical_across_worker_counts() {
     for kind in [ProtocolKind::Cord, ProtocolKind::So] {
-        let base = fingerprint(&run_with_workers(micro_system(kind, 8, false), 1));
+        let base = identity(&run_with_workers(micro_system(kind, 8, false), 1));
         for workers in [2, 3, 8] {
-            let got = fingerprint(&run_with_workers(micro_system(kind, 8, false), workers));
+            let got = identity(&run_with_workers(micro_system(kind, 8, false), workers));
             assert_eq!(base, got, "{kind:?} diverged at {workers} workers");
         }
     }
@@ -74,12 +61,12 @@ fn results_identical_across_worker_counts() {
 
 #[test]
 fn results_identical_across_worker_counts_under_faults() {
-    let base = fingerprint(&run_with_workers(
+    let base = identity(&run_with_workers(
         micro_system(ProtocolKind::Cord, 8, true),
         1,
     ));
     for workers in [2, 8] {
-        let got = fingerprint(&run_with_workers(
+        let got = identity(&run_with_workers(
             micro_system(ProtocolKind::Cord, 8, true),
             workers,
         ));
@@ -99,22 +86,23 @@ fn results_identical_across_worker_counts_under_crash_faults() {
         sys.set_fault_spec(CRASH_SPEC).expect("crash spec");
         sys
     };
-    let base = fingerprint(&run_with_workers(crash_system(), 1));
-    assert!(
-        base.contains("sessions_reset: 1"),
-        "transport reset missing from fingerprint: {base}"
+    let first = run_with_workers(crash_system(), 1);
+    assert_eq!(
+        first.traffic.faults.sessions_reset, 1,
+        "transport reset missing from the run"
     );
+    let base = identity(&first);
     for workers in [2, 4, 8] {
-        let got = fingerprint(&run_with_workers(crash_system(), workers));
+        let got = identity(&run_with_workers(crash_system(), workers));
         assert_eq!(base, got, "crash-faulted run diverged at {workers} workers");
     }
 }
 
 #[test]
 fn app_results_identical_across_worker_counts() {
-    let base = fingerprint(&run_with_workers(app_system("MOCFE", 4, false), 1));
+    let base = identity(&run_with_workers(app_system("MOCFE", 4, false), 1));
     for workers in [2, 4] {
-        let got = fingerprint(&run_with_workers(app_system("MOCFE", 4, false), workers));
+        let got = identity(&run_with_workers(app_system("MOCFE", 4, false), workers));
         assert_eq!(base, got, "MOCFE diverged at {workers} workers");
     }
 }
@@ -202,14 +190,14 @@ fn single_host_runs_in_one_partition() {
         sys.set_sim_threads(None);
         sys
     };
-    let base = fingerprint(&run_with_workers(one_host(), 1));
-    let got = fingerprint(&run_with_workers(one_host(), 4));
+    let base = identity(&run_with_workers(one_host(), 1));
+    let got = identity(&run_with_workers(one_host(), 4));
     assert_eq!(base, got);
 }
 
 /// Replays the committed fuzzer repro corpus through the sharded engine:
 /// for every scenario (baseline and faulted phase alike) the outcome —
-/// success fingerprint or error — must be identical at 1 and 2 workers.
+/// success identity or error — must be identical at 1 and 2 workers.
 /// The corpus is the diversity net here: protocols, host counts, fault
 /// specs, and event-cap/hang scenarios the fuzzer has actually found.
 #[test]
@@ -236,7 +224,7 @@ fn repro_corpus_outcomes_identical_across_worker_counts() {
                     sys.set_fault_spec(spec).expect("corpus spec parses");
                 }
                 match sys.try_run() {
-                    Ok(r) => format!("ok {}", fingerprint(&r)),
+                    Ok(r) => format!("ok {:?}", identity(&r)),
                     Err(e) => format!("err {e}"),
                 }
             });
