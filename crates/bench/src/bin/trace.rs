@@ -279,7 +279,7 @@ fn main() {
     }
     sys.tracer_mut().attach_metrics(MetricsRecorder::default());
     // `--metrics-out` implies sampling; `CORD_OBS` still picks the interval.
-    if args.metrics_out.is_some() && std::env::var_os("CORD_OBS").is_none() {
+    if args.metrics_out.is_some() && sys.sampling().is_none() {
         sys.set_sampling(Some(Time::from_us(1)));
     }
     let proto = sys.config().protocol;

@@ -21,7 +21,9 @@ use cord_proto::{
 };
 use cord_sim::fault::{CrashKind, FaultPlan};
 use cord_sim::obs::{self, ProfileSummary, Profiler, Sampler, SeriesSet};
-use cord_sim::trace::{MetricsSnapshot, RingSink, TraceData, Tracer};
+use cord_sim::trace::{
+    ChromeTraceWriter, MetricsRecorder, MetricsSnapshot, RingSink, TraceData, Tracer,
+};
 use cord_sim::{EventQueue, Time};
 
 use crate::any::{AnyCore, AnyDir};
@@ -501,6 +503,9 @@ pub struct System {
     /// Set on partition `System`s inside a sharded run; `None` on ordinary
     /// (monolithic) systems.
     pub(crate) part: Option<Partition>,
+    /// The run-level knobs [`System::new`] parsed; their output paths are
+    /// used when the run ends. All off on partitions.
+    env: Box<RunEnv>,
     /// Sim-time sampling of queue/transport gauges (`CORD_OBS` or
     /// [`System::set_sampling`]); boxed to keep the disabled hot path's
     /// `System` footprint unchanged.
@@ -544,19 +549,18 @@ impl System {
         programs.resize(tiles, Program::new());
         let noc = Noc::new(cfg.noc);
         let mut sys = Self::build(cfg, noc, programs, 0);
-        sys.tracer = Tracer::from_env();
-        sys.sim_threads = sim_threads_from_env();
-        sys.sampler = sampler_from_env();
-        sys.profiler = profiler_from_env();
-        if let Some(cap) = flight_cap_from_env() {
+        let mut env = RunEnv::parse(|name| std::env::var(name).ok());
+        sys.tracer = env.tracer();
+        sys.sim_threads = env.sim_threads;
+        sys.set_sampling(env.obs);
+        sys.set_profiling(env.profile_out.is_some());
+        if let Some(cap) = env.flight {
             sys.tracer.arm_flight(cap);
         }
-        if let Ok(spec) = std::env::var("CORD_FAULTS") {
-            if !spec.is_empty() {
-                let fs = FaultSpec::parse(&spec).unwrap_or_else(|e| panic!("CORD_FAULTS: {e}"));
-                sys.set_faults(fs.plan, fs.xport);
-            }
+        if let Some(fs) = env.faults.take() {
+            sys.set_faults(fs.plan, fs.xport);
         }
+        *sys.env = env;
         sys
     }
 
@@ -615,6 +619,7 @@ impl System {
             fault_spec: None,
             sim_threads: None,
             part: None,
+            env: Box::default(),
             sampler: None,
             profiler: None,
             flight_rings: Vec::new(),
@@ -659,6 +664,12 @@ impl System {
     /// any worker count. Equivalent to the `CORD_OBS` environment knob.
     pub fn set_sampling(&mut self, interval: Option<Time>) {
         self.sampler = interval.map(|i| Box::new(Sampler::new(i)));
+    }
+
+    /// The sampling grid, when sampling is armed (by `CORD_OBS` or
+    /// [`System::set_sampling`]).
+    pub fn sampling(&self) -> Option<Time> {
+        self.sampler.as_ref().map(|s| s.interval())
     }
 
     /// Arms (or disarms) the wall-clock self-profiler; the summary rides
@@ -903,10 +914,10 @@ impl System {
         if rings.is_empty() {
             return;
         }
-        if let Some(path) = flight_out_path() {
+        if let Some(path) = &self.env.flight_out {
             let text = obs::render_flight(err_text, &rings);
             let kept: usize = rings.iter().map(|(_, r)| r.len()).sum();
-            match obs::write_output(&path, &text) {
+            match obs::write_output(path, &text) {
                 Ok(()) => eprintln!(
                     "flight recorder: dumped {kept} event(s) to {path} (replay: trace --flight {path})"
                 ),
@@ -921,31 +932,24 @@ impl System {
     /// `CORD_PROFILE_OUT` (collapsed stacks, default
     /// `results/PROFILE.folded`).
     fn export_obs_outputs(&self, r: &RunResult) {
-        if let (Some(set), Ok(base)) = (&r.obs, std::env::var("CORD_OBS_OUT")) {
-            if !base.is_empty() {
-                // As with CORD_TRACE_OUT: later runs in one process get a
-                // `.N` suffix so each keeps its own files.
-                static ENV_OBS: AtomicU64 = AtomicU64::new(0);
-                let n = ENV_OBS.fetch_add(1, Ordering::Relaxed);
-                let path = if n == 0 { base } else { format!("{base}.{n}") };
-                let json = obs::render_json(set, r.metrics.as_ref());
-                if let Err(e) = obs::write_output(&path, &json) {
-                    eprintln!("CORD_OBS_OUT: cannot write {path}: {e}");
-                }
-                let prom = obs::render_prometheus(set, r.metrics.as_ref());
-                let ppath = format!("{path}.prom");
-                if let Err(e) = obs::write_output(&ppath, &prom) {
-                    eprintln!("CORD_OBS_OUT: cannot write {ppath}: {e}");
-                }
+        if let (Some(set), Some(base)) = (&r.obs, &self.env.obs_out) {
+            // As with CORD_TRACE_OUT: later runs in one process get a `.N`
+            // suffix so each keeps its own files.
+            static ENV_OBS: AtomicU64 = AtomicU64::new(0);
+            let path = numbered(base, &ENV_OBS);
+            let json = obs::render_json(set, r.metrics.as_ref());
+            if let Err(e) = obs::write_output(&path, &json) {
+                eprintln!("CORD_OBS_OUT: cannot write {path}: {e}");
+            }
+            let prom = obs::render_prometheus(set, r.metrics.as_ref());
+            let ppath = format!("{path}.prom");
+            if let Err(e) = obs::write_output(&ppath, &prom) {
+                eprintln!("CORD_OBS_OUT: cannot write {ppath}: {e}");
             }
         }
-        if let Some(profile) = &r.profile {
-            if std::env::var_os("CORD_PROFILE").is_some() {
-                let path = std::env::var("CORD_PROFILE_OUT")
-                    .unwrap_or_else(|_| "results/PROFILE.folded".to_string());
-                if let Err(e) = obs::write_folded(&path, profile) {
-                    eprintln!("CORD_PROFILE_OUT: cannot write {path}: {e}");
-                }
+        if let (Some(profile), Some(path)) = (&r.profile, &self.env.profile_out) {
+            if let Err(e) = obs::write_folded(path, profile) {
+                eprintln!("CORD_PROFILE_OUT: cannot write {path}: {e}");
             }
         }
     }
@@ -1916,66 +1920,95 @@ impl System {
     }
 }
 
-/// Parses `CORD_SIM_THREADS`: unset, empty, `0`, or unparsable → `None`
-/// (monolithic engine); `n ≥ 1` → sharded engine with `n` workers.
-fn sim_threads_from_env() -> Option<usize> {
-    std::env::var("CORD_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
+/// The run-level `CORD_*` knobs, parsed once by [`System::new`]. The on/off
+/// knobs share one rule: unset, blank or `0` (after trimming) is off. A
+/// numeric knob that does not parse panics naming its variable, as a bad
+/// `CORD_FAULTS` spec does. A blank `*_OUT` path counts as unset.
+#[derive(Debug, Default)]
+struct RunEnv {
+    /// `CORD_TRACE` on: the Chrome trace path (`CORD_TRACE_OUT`, default
+    /// `results/cord_trace.json`).
+    trace_out: Option<String>,
+    /// `CORD_OBS`: the sampling grid; `1` is 1 µs, any other `n` is n ns.
+    obs: Option<Time>,
+    /// `CORD_OBS_OUT`: the series JSON path (plus a `.prom` sibling).
+    obs_out: Option<String>,
+    /// `CORD_FLIGHT`: the flight ring's capacity; `1` is 256 events.
+    flight: Option<usize>,
+    /// Where a failed run's flight dump goes: `CORD_FLIGHT_OUT`, else
+    /// `results/FLIGHT_last.txt` when `CORD_FLIGHT` is on. Neither → no
+    /// file (callers read [`System::take_flight_rings`]).
+    flight_out: Option<String>,
+    /// `CORD_PROFILE` on: the collapsed-stacks path (`CORD_PROFILE_OUT`,
+    /// default `results/PROFILE.folded`).
+    profile_out: Option<String>,
+    /// `CORD_FAULTS`: the fault spec to install.
+    faults: Option<FaultSpec>,
+    /// `CORD_SIM_THREADS`: sharded-engine workers; off runs monolithic.
+    sim_threads: Option<usize>,
 }
 
-/// Parses `CORD_OBS`: unset, empty, or `0` → no sampling; `1` → the 1 µs
-/// default interval; any other value → that many **nanoseconds** of sim
-/// time per sample (unparsable values also fall back to 1 µs).
-fn sampler_from_env() -> Option<Box<Sampler>> {
-    let v = std::env::var("CORD_OBS").ok()?;
-    let v = v.trim();
-    if v.is_empty() || v == "0" {
-        return None;
-    }
-    let interval = if v == "1" {
-        Time::from_us(1)
-    } else {
-        v.parse::<u64>().map_or(Time::from_us(1), Time::from_ns)
-    };
-    Some(Box::new(Sampler::new(interval)))
-}
-
-/// Parses `CORD_PROFILE`: any non-empty, non-`0` value enables the
-/// wall-clock self-profiler.
-fn profiler_from_env() -> Option<Box<Profiler>> {
-    match std::env::var("CORD_PROFILE") {
-        Ok(v) if !v.trim().is_empty() && v.trim() != "0" => Some(Box::new(Profiler::new())),
-        _ => None,
-    }
-}
-
-/// Parses `CORD_FLIGHT`: unset, empty, or `0` → flight recorder off;
-/// `1` or unparsable → the default 256-event ring; `n` → an `n`-event ring.
-fn flight_cap_from_env() -> Option<usize> {
-    let v = std::env::var("CORD_FLIGHT").ok()?;
-    let v = v.trim();
-    if v.is_empty() || v == "0" {
-        return None;
-    }
-    match v.parse::<usize>() {
-        Ok(1) | Err(_) => Some(256),
-        Ok(n) => Some(n),
-    }
-}
-
-/// Where the flight dump file goes, if anywhere: `CORD_FLIGHT_OUT` names
-/// the path; with only `CORD_FLIGHT` set the default is
-/// `results/FLIGHT_last.txt`. Neither set → no file (programmatic users
-/// read the rings through [`System::take_flight_rings`]).
-fn flight_out_path() -> Option<String> {
-    if let Ok(p) = std::env::var("CORD_FLIGHT_OUT") {
-        if !p.trim().is_empty() {
-            return Some(p);
+impl RunEnv {
+    /// Parses the knobs, reading each variable's value through `var`.
+    fn parse(var: impl Fn(&str) -> Option<String>) -> Self {
+        let set = |name: &str| var(name).filter(|v| !v.trim().is_empty());
+        let on = |name: &str| set(name).filter(|v| v.trim() != "0");
+        let num = |name: &str| {
+            on(name).map(|v| {
+                v.trim().parse::<u64>().unwrap_or_else(|_| {
+                    panic!("{name}: expected a non-negative integer, got {v:?}")
+                })
+            })
+        };
+        let out = |name: &str, default: &str| set(name).unwrap_or_else(|| default.to_string());
+        let flight = num("CORD_FLIGHT").map(|n| if n == 1 { 256 } else { n as usize });
+        RunEnv {
+            trace_out: on("CORD_TRACE").map(|_| out("CORD_TRACE_OUT", "results/cord_trace.json")),
+            obs: num("CORD_OBS").map(|n| match n {
+                1 => Time::from_us(1),
+                n => Time::from_ns(n),
+            }),
+            obs_out: set("CORD_OBS_OUT"),
+            flight,
+            flight_out: set("CORD_FLIGHT_OUT")
+                .or_else(|| flight.map(|_| "results/FLIGHT_last.txt".to_string())),
+            profile_out: on("CORD_PROFILE")
+                .map(|_| out("CORD_PROFILE_OUT", "results/PROFILE.folded")),
+            faults: set("CORD_FAULTS")
+                .map(|spec| FaultSpec::parse(&spec).unwrap_or_else(|e| panic!("CORD_FAULTS: {e}"))),
+            sim_threads: num("CORD_SIM_THREADS").map(|n| n as usize),
         }
     }
-    flight_cap_from_env().map(|_| "results/FLIGHT_last.txt".to_string())
+
+    /// The tracer `CORD_TRACE` asks for: a [`ChromeTraceWriter`] streaming
+    /// to the trace path, plus a [`MetricsRecorder`]. When one process
+    /// builds several (a sweep), later files get a `.N` suffix so each run
+    /// keeps its own. Disabled when `CORD_TRACE` is off.
+    fn tracer(&self) -> Tracer {
+        let Some(base) = &self.trace_out else {
+            return Tracer::disabled();
+        };
+        static ENV_TRACERS: AtomicU64 = AtomicU64::new(0);
+        let path = numbered(base, &ENV_TRACERS);
+        if let Some(dir) = std::path::Path::new(&path).parent() {
+            let _ = std::fs::create_dir_all(dir);
+        }
+        let mut tr = Tracer::disabled();
+        match ChromeTraceWriter::create(&path) {
+            Ok(w) => tr.install(Box::new(w)),
+            Err(e) => eprintln!("CORD_TRACE: cannot open {path}: {e}"),
+        }
+        tr.attach_metrics(MetricsRecorder::default());
+        tr
+    }
+}
+
+/// `base` for the first call on `counter`, `base.N` for the N-th after it.
+fn numbered(base: &str, counter: &AtomicU64) -> String {
+    match counter.fetch_add(1, Ordering::Relaxed) {
+        0 => base.to_string(),
+        n => format!("{base}.{n}"),
+    }
 }
 
 #[cfg(test)]
@@ -2423,5 +2456,123 @@ mod tests {
         for (i, &c) in STALL_CAUSES.iter().enumerate() {
             assert_eq!(ordinal(c), i, "{c:?} out of place in STALL_CAUSES");
         }
+    }
+
+    fn run_env(vars: &[(&str, &str)]) -> RunEnv {
+        RunEnv::parse(|name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    #[test]
+    fn run_env_unset_is_all_off() {
+        let env = run_env(&[]);
+        assert_eq!(env.trace_out, None);
+        assert_eq!(env.obs, None);
+        assert_eq!(env.obs_out, None);
+        assert_eq!(env.flight, None);
+        assert_eq!(env.flight_out, None);
+        assert_eq!(env.profile_out, None);
+        assert!(env.faults.is_none());
+        assert_eq!(env.sim_threads, None);
+        let zeros = [
+            "CORD_TRACE",
+            "CORD_OBS",
+            "CORD_FLIGHT",
+            "CORD_PROFILE",
+            "CORD_SIM_THREADS",
+        ]
+        .map(|k| (k, " 0 "));
+        let env = run_env(&zeros);
+        assert_eq!(
+            (env.trace_out, env.obs, env.flight, env.profile_out),
+            (None, None, None, None)
+        );
+        assert_eq!(env.sim_threads, None);
+    }
+
+    #[test]
+    fn run_env_documented_values() {
+        let env = run_env(&[
+            ("CORD_TRACE", "1"),
+            ("CORD_OBS", "1"),
+            ("CORD_FLIGHT", "1"),
+            ("CORD_PROFILE", "yes"),
+            ("CORD_SIM_THREADS", " 2 "),
+            ("CORD_FAULTS", "seed=7; drop=0.01"),
+        ]);
+        assert_eq!(env.trace_out.as_deref(), Some("results/cord_trace.json"));
+        assert_eq!(env.obs, Some(Time::from_us(1)));
+        assert_eq!(env.flight, Some(256));
+        assert_eq!(env.flight_out.as_deref(), Some("results/FLIGHT_last.txt"));
+        assert_eq!(env.profile_out.as_deref(), Some("results/PROFILE.folded"));
+        assert_eq!(env.sim_threads, Some(2));
+        assert!(env.faults.is_some());
+        let env = run_env(&[
+            ("CORD_TRACE_OUT", "t.json"),
+            ("CORD_OBS", "250"),
+            ("CORD_OBS_OUT", "o.json"),
+            ("CORD_FLIGHT", "64"),
+            ("CORD_FLIGHT_OUT", "f.txt"),
+            ("CORD_PROFILE", "1"),
+            ("CORD_PROFILE_OUT", "p.folded"),
+        ]);
+        assert_eq!(env.trace_out, None, "CORD_TRACE_OUT alone does not trace");
+        assert_eq!(env.obs, Some(Time::from_ns(250)));
+        assert_eq!(env.obs_out.as_deref(), Some("o.json"));
+        assert_eq!(env.flight, Some(64));
+        assert_eq!(env.flight_out.as_deref(), Some("f.txt"));
+        assert_eq!(env.profile_out.as_deref(), Some("p.folded"));
+    }
+
+    #[test]
+    #[should_panic(expected = "CORD_SIM_THREADS")]
+    fn run_env_rejects_unparsable_sim_threads() {
+        run_env(&[("CORD_SIM_THREADS", "two")]);
+    }
+
+    #[test]
+    #[should_panic(expected = "CORD_OBS")]
+    fn run_env_rejects_unparsable_obs() {
+        run_env(&[("CORD_OBS", "1us")]);
+    }
+
+    #[test]
+    #[should_panic(expected = "CORD_FLIGHT")]
+    fn run_env_rejects_unparsable_flight() {
+        run_env(&[("CORD_FLIGHT", "on")]);
+    }
+
+    #[test]
+    #[should_panic(expected = "CORD_FAULTS")]
+    fn run_env_rejects_malformed_faults() {
+        run_env(&[("CORD_FAULTS", "drop")]);
+    }
+
+    /// `CORD_PROFILE=0` is off for the profile file too: a profile armed
+    /// through [`System::set_profiling`] rides the result but is written
+    /// only when `CORD_PROFILE` is on.
+    #[test]
+    fn profile_file_follows_cord_profile() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../target/run_env_test.folded"
+        );
+        for (knob, written) in [("0", false), ("1", true)] {
+            let _ = std::fs::remove_file(path);
+            let cfg = SystemConfig::cxl(ProtocolKind::Cord, 2);
+            let mut sys = System::new(cfg.clone(), producer_consumer(&cfg, 4));
+            *sys.env = run_env(&[("CORD_PROFILE", knob), ("CORD_PROFILE_OUT", path)]);
+            sys.set_profiling(true);
+            assert!(sys.run().profile.is_some());
+            assert_eq!(
+                std::path::Path::new(path).exists(),
+                written,
+                "CORD_PROFILE={knob}"
+            );
+        }
+        let _ = std::fs::remove_file(path);
     }
 }

@@ -304,159 +304,19 @@ pub fn render_flight(error: &str, parts: &[(u32, RingSink)]) -> String {
 }
 
 fn render_flight_line(part: u32, ev: &TraceEvent) -> String {
-    let head = format!(
+    let mut line = format!(
         "{part} {} {} {}",
         ev.at.as_ps(),
         ev.seq,
         ev.data.kind_name()
     );
-    let body = match ev.data {
-        TraceData::MsgSend {
-            src,
-            dst,
-            kind,
-            class,
-            bytes,
-            arrive,
-        } => format!(
-            "src={src} dst={dst} kind={kind} class={class} bytes={bytes} arrive={}",
-            arrive.as_ps()
-        ),
-        TraceData::MsgDeliver {
-            src,
-            dst,
-            kind,
-            class,
-            bytes,
-        } => format!("src={src} dst={dst} kind={kind} class={class} bytes={bytes}"),
-        TraceData::StoreIssue {
-            core,
-            tid,
-            addr,
-            bytes,
-            release,
-            epoch,
-        } => format!(
-            "core={core} tid={tid} addr={addr} bytes={bytes} release={} epoch={}",
-            release as u8,
-            fmt_opt(epoch)
-        ),
-        TraceData::StoreCommit {
-            dir,
-            core,
-            tid,
-            addr,
-            release,
-            epoch,
-        } => format!(
-            "dir={dir} core={core} tid={tid} addr={addr} release={} epoch={}",
-            release as u8,
-            fmt_opt(epoch)
-        ),
-        TraceData::EpochOpen { core, epoch } => format!("core={core} epoch={epoch}"),
-        TraceData::EpochClose {
-            core,
-            epoch,
-            fanout,
-        } => format!("core={core} epoch={epoch} fanout={fanout}"),
-        TraceData::NotifyRequest {
-            core,
-            pending_dir,
-            dst_dir,
-            epoch,
-        } => format!("core={core} pending_dir={pending_dir} dst_dir={dst_dir} epoch={epoch}"),
-        TraceData::NotifyArrive { dir, core, epoch } => {
-            format!("dir={dir} core={core} epoch={epoch}")
-        }
-        TraceData::TableInsert {
-            node,
-            id,
-            table,
-            occ,
-            cap,
-        }
-        | TraceData::TableEvict {
-            node,
-            id,
-            table,
-            occ,
-            cap,
-        } => format!("node={node} id={id} table={table} occ={occ} cap={cap}"),
-        TraceData::TableStallFull {
-            node,
-            id,
-            table,
-            cap,
-        } => format!("node={node} id={id} table={table} cap={cap}"),
-        TraceData::StallBegin { core, cause } => format!("core={core} cause={cause}"),
-        TraceData::StallEnd { core, cause, since } => {
-            format!("core={core} cause={cause} since={}", since.as_ps())
-        }
-        TraceData::FaultInject {
-            src,
-            dst,
-            class,
-            fault,
-            extra,
-        } => format!(
-            "src={src} dst={dst} class={class} fault={fault} extra={}",
-            extra.as_ps()
-        ),
-        TraceData::XportRetrans {
-            src,
-            dst,
-            seq,
-            attempt,
-        } => format!("src={src} dst={dst} seq={seq} attempt={attempt}"),
-        TraceData::XportDupDrop { src, dst, seq } => format!("src={src} dst={dst} seq={seq}"),
-        TraceData::CrashInject { host, kind, units } => {
-            format!("host={host} kind={kind} units={units}")
-        }
-        TraceData::RecoverBegin { core, dir } => format!("core={core} dir={dir}"),
-        TraceData::RecoverEnd { core, since, sends } => {
-            format!("core={core} since={} sends={sends}", since.as_ps())
-        }
-        TraceData::XportStaleRej {
-            src,
-            dst,
-            seq,
-            sess,
-        } => format!("src={src} dst={dst} seq={seq} sess={sess}"),
-        TraceData::StaleDrop {
-            dir,
-            core,
-            ep,
-            what,
-        } => {
-            format!("dir={dir} core={core} ep={ep} what={what}")
-        }
-    };
-    format!("{head} {body}")
-}
-
-fn fmt_opt(e: Option<u64>) -> String {
-    match e {
-        Some(v) => v.to_string(),
-        None => "-".into(),
-    }
-}
-
-/// Interns a parsed label so reconstructed [`TraceData`] can carry the
-/// `&'static str` fields the tracer vocabulary uses. The set of distinct
-/// labels is small and fixed by the emitting layers, so the leak is
-/// bounded.
-fn intern_label(s: &str) -> &'static str {
-    static CACHE: OnceLock<Mutex<HashMap<String, &'static str>>> = OnceLock::new();
-    let mut map = CACHE
-        .get_or_init(Default::default)
-        .lock()
-        .expect("label cache poisoned");
-    if let Some(&l) = map.get(s) {
-        return l;
-    }
-    let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-    map.insert(s.to_string(), leaked);
-    leaked
+    ev.data.for_each_field(|name, value| {
+        line.push(' ');
+        line.push_str(name);
+        line.push('=');
+        value.write(&mut line);
+    });
+    line
 }
 
 /// Parses a flight-recorder dump produced by [`render_flight`].
@@ -502,156 +362,7 @@ fn parse_flight_line(line: &str) -> Result<(u32, TraceEvent), String> {
             .ok_or_else(|| format!("malformed field {tok:?}"))?;
         fields.insert(k, v);
     }
-    let num = |k: &str| -> Result<u64, String> {
-        fields
-            .get(k)
-            .ok_or_else(|| format!("missing field {k}"))?
-            .parse()
-            .map_err(|e| format!("field {k}: {e}"))
-    };
-    let num32 = |k: &str| -> Result<u32, String> {
-        let v = num(k)?;
-        u32::try_from(v).map_err(|_| format!("field {k}: {v} is out of range for u32"))
-    };
-    let label = |k: &str| -> Result<&'static str, String> {
-        Ok(intern_label(
-            fields.get(k).ok_or_else(|| format!("missing field {k}"))?,
-        ))
-    };
-    let opt = |k: &str| -> Result<Option<u64>, String> {
-        match fields.get(k) {
-            Some(&"-") => Ok(None),
-            Some(v) => v.parse().map(Some).map_err(|e| format!("field {k}: {e}")),
-            None => Err(format!("missing field {k}")),
-        }
-    };
-    let data = match kind {
-        "msg_send" => TraceData::MsgSend {
-            src: num32("src")?,
-            dst: num32("dst")?,
-            kind: label("kind")?,
-            class: label("class")?,
-            bytes: num("bytes")?,
-            arrive: Time::from_ps(num("arrive")?),
-        },
-        "msg_deliver" => TraceData::MsgDeliver {
-            src: num32("src")?,
-            dst: num32("dst")?,
-            kind: label("kind")?,
-            class: label("class")?,
-            bytes: num("bytes")?,
-        },
-        "store_issue" => TraceData::StoreIssue {
-            core: num32("core")?,
-            tid: num("tid")?,
-            addr: num("addr")?,
-            bytes: num32("bytes")?,
-            release: num("release")? != 0,
-            epoch: opt("epoch")?,
-        },
-        "store_commit" => TraceData::StoreCommit {
-            dir: num32("dir")?,
-            core: num32("core")?,
-            tid: num("tid")?,
-            addr: num("addr")?,
-            release: num("release")? != 0,
-            epoch: opt("epoch")?,
-        },
-        "epoch_open" => TraceData::EpochOpen {
-            core: num32("core")?,
-            epoch: num("epoch")?,
-        },
-        "epoch_close" => TraceData::EpochClose {
-            core: num32("core")?,
-            epoch: num("epoch")?,
-            fanout: num32("fanout")?,
-        },
-        "notify_request" => TraceData::NotifyRequest {
-            core: num32("core")?,
-            pending_dir: num32("pending_dir")?,
-            dst_dir: num32("dst_dir")?,
-            epoch: num("epoch")?,
-        },
-        "notify_arrive" => TraceData::NotifyArrive {
-            dir: num32("dir")?,
-            core: num32("core")?,
-            epoch: num("epoch")?,
-        },
-        "table_insert" => TraceData::TableInsert {
-            node: label("node")?,
-            id: num32("id")?,
-            table: label("table")?,
-            occ: num("occ")?,
-            cap: num("cap")?,
-        },
-        "table_evict" => TraceData::TableEvict {
-            node: label("node")?,
-            id: num32("id")?,
-            table: label("table")?,
-            occ: num("occ")?,
-            cap: num("cap")?,
-        },
-        "table_stall_full" => TraceData::TableStallFull {
-            node: label("node")?,
-            id: num32("id")?,
-            table: label("table")?,
-            cap: num("cap")?,
-        },
-        "stall_begin" => TraceData::StallBegin {
-            core: num32("core")?,
-            cause: label("cause")?,
-        },
-        "stall_end" => TraceData::StallEnd {
-            core: num32("core")?,
-            cause: label("cause")?,
-            since: Time::from_ps(num("since")?),
-        },
-        "fault_inject" => TraceData::FaultInject {
-            src: num32("src")?,
-            dst: num32("dst")?,
-            class: label("class")?,
-            fault: label("fault")?,
-            extra: Time::from_ps(num("extra")?),
-        },
-        "xport_retrans" => TraceData::XportRetrans {
-            src: num32("src")?,
-            dst: num32("dst")?,
-            seq: num("seq")?,
-            attempt: num32("attempt")?,
-        },
-        "xport_dup_drop" => TraceData::XportDupDrop {
-            src: num32("src")?,
-            dst: num32("dst")?,
-            seq: num("seq")?,
-        },
-        "crash_inject" => TraceData::CrashInject {
-            host: num32("host")?,
-            kind: label("kind")?,
-            units: num32("units")?,
-        },
-        "recover_begin" => TraceData::RecoverBegin {
-            core: num32("core")?,
-            dir: num32("dir")?,
-        },
-        "recover_end" => TraceData::RecoverEnd {
-            core: num32("core")?,
-            since: Time::from_ps(num("since")?),
-            sends: num32("sends")?,
-        },
-        "xport_stale_rej" => TraceData::XportStaleRej {
-            src: num32("src")?,
-            dst: num32("dst")?,
-            seq: num("seq")?,
-            sess: num32("sess")?,
-        },
-        "stale_drop" => TraceData::StaleDrop {
-            dir: num32("dir")?,
-            core: num32("core")?,
-            ep: num("ep")?,
-            what: label("what")?,
-        },
-        other => return Err(format!("unknown event kind {other:?}")),
-    };
+    let data = TraceData::from_fields(kind, |k| fields.get(k).copied())?;
     Ok((
         part,
         TraceEvent {
@@ -1109,6 +820,29 @@ mod tests {
                 dst: 8,
                 seq: 5,
             },
+            TraceData::CrashInject {
+                host: 1,
+                kind: "dir",
+                units: 4,
+            },
+            TraceData::RecoverBegin { core: 0, dir: 9 },
+            TraceData::RecoverEnd {
+                core: 0,
+                since: t(17),
+                sends: 3,
+            },
+            TraceData::XportStaleRej {
+                src: 8,
+                dst: 0,
+                seq: 6,
+                sess: 1,
+            },
+            TraceData::StaleDrop {
+                dir: 9,
+                core: 0,
+                ep: 4,
+                what: "release",
+            },
         ];
         data.into_iter()
             .enumerate()
@@ -1120,10 +854,46 @@ mod tests {
             .collect()
     }
 
+    /// `render_flight` of [`sample_events`], pinned byte for byte: the flight
+    /// line is `<part> <at_ps> <seq> <kind>` then `name=value` per field in
+    /// declaration order, so reordering or renaming a field changes it.
+    const SAMPLE_FLIGHT: &str = "\
+# cord-flight v1
+# error: run error: watchdog: no progress
+# partition 0: 21 event(s) retained (dropped 0)
+0 1000 0 msg_send src=0 dst=8 kind=WtStore class=Data bytes=80 arrive=30000
+0 2000 1 msg_deliver src=0 dst=8 kind=WtStore class=Data bytes=80
+0 3000 2 store_issue core=0 tid=7 addr=4096 bytes=64 release=1 epoch=3
+0 4000 3 store_commit dir=8 core=0 tid=7 addr=4096 release=0 epoch=-
+0 5000 4 epoch_open core=1 epoch=4
+0 6000 5 epoch_close core=1 epoch=4 fanout=2
+0 7000 6 notify_request core=1 pending_dir=9 dst_dir=10 epoch=4
+0 8000 7 notify_arrive dir=10 core=1 epoch=4
+0 9000 8 table_insert node=dir id=9 table=cnt occ=3 cap=64
+0 10000 9 table_evict node=dir id=9 table=cnt occ=2 cap=64
+0 11000 10 table_stall_full node=core id=0 table=unacked cap=8
+0 12000 11 stall_begin core=0 cause=AckWait
+0 13000 12 stall_end core=0 cause=AckWait since=5000
+0 14000 13 fault_inject src=0 dst=8 class=Notify fault=drop extra=2000
+0 15000 14 xport_retrans src=0 dst=8 seq=5 attempt=2
+0 16000 15 xport_dup_drop src=0 dst=8 seq=5
+0 17000 16 crash_inject host=1 kind=dir units=4
+0 18000 17 recover_begin core=0 dir=9
+0 19000 18 recover_end core=0 since=17000 sends=3
+0 20000 19 xport_stale_rej src=8 dst=0 seq=6 sess=1
+0 21000 20 stale_drop dir=9 core=0 ep=4 what=release
+";
+
     #[test]
     fn flight_round_trips_every_event_kind() {
         let mut ring = crate::trace::RingSink::new(64);
         let evs = sample_events();
+        let kinds: Vec<&str> = evs.iter().map(|e| e.data.kind_name()).collect();
+        assert_eq!(
+            kinds,
+            TraceData::KINDS,
+            "sample_events must hold one event of every kind, in declaration order"
+        );
         for ev in &evs {
             use crate::trace::TraceSink;
             ring.emit(ev);
@@ -1132,11 +902,7 @@ mod tests {
             "run error: watchdog: no progress\nsecond line",
             &[(0, ring)],
         );
-        assert!(text.starts_with("# cord-flight v1\n"), "{text}");
-        assert!(
-            text.contains("# error: run error: watchdog: no progress\n"),
-            "{text}"
-        );
+        assert_eq!(text, SAMPLE_FLIGHT);
         let dump = parse_flight(&text).expect("parse back");
         assert_eq!(dump.error, "run error: watchdog: no progress");
         assert_eq!(dump.events.len(), evs.len());

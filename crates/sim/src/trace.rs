@@ -28,6 +28,17 @@
 //! arithmetic — the same run produces byte-identical trace files regardless
 //! of `CORD_THREADS`.
 //!
+//! # Adding an event
+//!
+//! [`TraceData`] is declared once, inside the `trace_events!` macro: one
+//! entry `Variant = "kind_label" { field: Type, .. }`, whose field types
+//! implement [`Field`]. The kind label, [`TraceData::KINDS`], and the
+//! flight-recorder line and its parser (`cord_sim::obs`) follow from that
+//! entry. Then add the variant's prose to [`render_event`] and its Chrome
+//! record to [`ChromeTraceWriter`] (the compiler asks for both), and teach
+//! the semantic consumers ([`MetricsRecorder`], [`CoverageMap`]) about it
+//! if they should count it.
+//!
 //! # Example
 //!
 //! ```
@@ -41,277 +52,422 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 use crate::coverage::CoverageMap;
 use crate::stats::Histogram;
 use crate::time::Time;
 
-/// One traced protocol occurrence (the payload of a [`TraceEvent`]).
-///
-/// Node identities are flat tile indices; `kind`/`class`/`cause`/`table`
-/// labels are `&'static str` supplied by the emitting layer, keeping this
-/// crate free of protocol types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceData {
-    /// A message departed its source toward the interconnect.
-    MsgSend {
-        /// Source tile.
-        src: u32,
-        /// Destination tile.
-        dst: u32,
-        /// Message kind label (e.g. `"WtStore"`).
-        kind: &'static str,
-        /// Traffic-class label (e.g. `"Data"`).
-        class: &'static str,
-        /// Wire bytes.
-        bytes: u64,
-        /// Scheduled arrival time.
-        arrive: Time,
-    },
-    /// A message arrived at its destination.
-    MsgDeliver {
-        /// Source tile.
-        src: u32,
-        /// Destination tile.
-        dst: u32,
-        /// Message kind label.
-        kind: &'static str,
-        /// Traffic-class label.
-        class: &'static str,
-        /// Wire bytes.
-        bytes: u64,
-    },
-    /// A core issued a store (write-through, posted, or Release).
-    StoreIssue {
-        /// Issuing core.
-        core: u32,
-        /// Sender-local transaction id.
-        tid: u64,
-        /// First byte written.
-        addr: u64,
-        /// Payload bytes.
-        bytes: u32,
-        /// Whether this is a Release (ordered) store.
-        release: bool,
-        /// Issuing epoch, when the protocol has one.
-        epoch: Option<u64>,
-    },
-    /// A directory committed a store to memory.
-    StoreCommit {
-        /// Committing directory.
-        dir: u32,
-        /// Originating core.
-        core: u32,
-        /// Transaction id from the issue (0 when the protocol has none).
-        tid: u64,
-        /// First byte written.
-        addr: u64,
-        /// Whether this was a Release (ordered) store.
-        release: bool,
-        /// Epoch the store belonged to, when the protocol has one.
-        epoch: Option<u64>,
-    },
-    /// A core opened a new epoch (after a Release store).
-    EpochOpen {
-        /// The core.
-        core: u32,
-        /// The new epoch number.
-        epoch: u64,
-    },
-    /// A core closed an epoch with a Release store.
-    EpochClose {
-        /// The core.
-        core: u32,
-        /// The epoch being closed.
-        epoch: u64,
-        /// Number of pending directories notified (paper §4.2 fan-out).
-        fanout: u32,
-    },
-    /// A request-for-notification was issued to a pending directory.
-    NotifyRequest {
-        /// Requesting core.
-        core: u32,
-        /// Pending directory that must collect the epoch.
-        pending_dir: u32,
-        /// Destination directory of the triggering Release store.
-        dst_dir: u32,
-        /// Epoch being closed.
-        epoch: u64,
-    },
-    /// An inter-directory notification arrived at the Release's destination.
-    NotifyArrive {
-        /// Receiving (destination) directory.
-        dir: u32,
-        /// Core whose epoch the notification covers.
-        core: u32,
-        /// The epoch.
-        epoch: u64,
-    },
-    /// A bounded lookup table gained an entry.
-    TableInsert {
-        /// Owning node kind: `"core"` or `"dir"`.
-        node: &'static str,
-        /// Owning node's flat index.
-        id: u32,
-        /// Table label (e.g. `"cnt"`, `"unacked"`, `"noti"`, `"netbuf"`).
-        table: &'static str,
-        /// Occupancy after the insert (entries, or bytes for `"netbuf"`).
-        occ: u64,
-        /// Configured capacity (0 when unbounded).
-        cap: u64,
-    },
-    /// A bounded lookup table reclaimed an entry (paper §4.3).
-    TableEvict {
-        /// Owning node kind: `"core"` or `"dir"`.
-        node: &'static str,
-        /// Owning node's flat index.
-        id: u32,
-        /// Table label.
-        table: &'static str,
-        /// Occupancy after the evict.
-        occ: u64,
-        /// Configured capacity (0 when unbounded).
-        cap: u64,
-    },
-    /// An operation stalled because a lookup table was full (paper §4.3).
-    TableStallFull {
-        /// Owning node kind: `"core"` or `"dir"`.
-        node: &'static str,
-        /// Owning node's flat index.
-        id: u32,
-        /// Table label.
-        table: &'static str,
-        /// Configured capacity.
-        cap: u64,
-    },
-    /// A core frontend entered a stall episode.
-    StallBegin {
-        /// The stalled core.
-        core: u32,
-        /// Stall-cause label (e.g. `"AckWait"`, `"TableFull"`).
-        cause: &'static str,
-    },
-    /// A core frontend left a stall episode.
-    StallEnd {
-        /// The core.
-        core: u32,
-        /// Stall-cause label.
-        cause: &'static str,
-        /// When the episode began.
-        since: Time,
-    },
-    /// The fault plan touched a message at the interconnect boundary.
-    FaultInject {
-        /// Source tile.
-        src: u32,
-        /// Destination tile.
-        dst: u32,
-        /// Traffic-class label.
-        class: &'static str,
-        /// Fault label: `"drop"`, `"dup"`, or `"delay"`.
-        fault: &'static str,
-        /// Injected extra latency (the duplicate's lag for `"dup"`).
-        extra: Time,
-    },
-    /// The reliable transport retransmitted an unacknowledged message.
-    XportRetrans {
-        /// Source tile of the channel.
-        src: u32,
-        /// Destination tile of the channel.
-        dst: u32,
-        /// Channel sequence number being retransmitted.
-        seq: u64,
-        /// Retransmission attempt number (1 = first retry).
-        attempt: u32,
-    },
-    /// The transport receiver suppressed a duplicate delivery.
-    XportDupDrop {
-        /// Source tile of the channel.
-        src: u32,
-        /// Destination tile of the channel.
-        dst: u32,
-        /// Duplicated sequence number.
-        seq: u64,
-    },
-    /// A node-scoped crash fault struck (directory-controller reset or host
-    /// transport reset).
-    CrashInject {
-        /// Host whose node(s) reset.
-        host: u32,
-        /// Crash-kind label: `"dir"` or `"xport"`.
-        kind: &'static str,
-        /// Units reset (directory engines wiped, or send channels replayed).
-        units: u32,
-    },
-    /// A core entered the recovery fence after learning a directory crashed.
-    RecoverBegin {
-        /// The recovering core.
-        core: u32,
-        /// The crashed directory.
-        dir: u32,
-    },
-    /// A core finished conservative re-fencing: in-flight epochs quiesced
-    /// and its ordering state re-registered with the crashed directories.
-    RecoverEnd {
-        /// The core.
-        core: u32,
-        /// When the recovery fence began.
-        since: Time,
-        /// Re-fence messages sent (re-issued Releases + ReqNotifies).
-        sends: u32,
-    },
-    /// The transport rejected an arrival tagged with a stale session epoch.
-    XportStaleRej {
-        /// Source tile of the channel.
-        src: u32,
-        /// Destination tile of the channel.
-        dst: u32,
-        /// Sequence number of the stale arrival.
-        seq: u64,
-        /// Session epoch it was tagged with.
-        sess: u32,
-    },
-    /// A directory dropped a stale recovery re-issue whose epoch was already
-    /// committed before the crash.
-    StaleDrop {
-        /// The directory.
-        dir: u32,
-        /// The issuing core.
-        core: u32,
-        /// The already-committed epoch.
-        ep: u64,
-        /// What was dropped: `"release"`, `"reqnotify"`, or `"notify"`.
-        what: &'static str,
-    },
+/// Declares [`TraceData`] once and derives its schema from that one list:
+/// each variant names its kind label (`MsgSend = "msg_send" { .. }`), and the
+/// macro generates the enum itself, [`TraceData::kind_name`],
+/// [`TraceData::KINDS`], [`TraceData::for_each_field`] and
+/// [`TraceData::from_fields`], all in declaration order.
+macro_rules! trace_events {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $label:literal {
+                    $( $(#[$fmeta:meta])* $field:ident : $ty:ty ),* $(,)?
+                }
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant { $( $(#[$fmeta])* $field: $ty ),* },
+            )*
+        }
+
+        impl $name {
+            /// Every kind label, in declaration order.
+            pub const KINDS: &'static [&'static str] = &[$($label),*];
+
+            /// Short kind label, used for event counting and text rendering.
+            pub fn kind_name(&self) -> &'static str {
+                match self {
+                    $( $name::$variant { .. } => $label, )*
+                }
+            }
+
+            /// Calls `f(name, value)` for each field, in declaration order.
+            pub fn for_each_field(&self, mut f: impl FnMut(&'static str, &dyn Field)) {
+                match self {
+                    $( $name::$variant { $($field),* } => {
+                        $( f(stringify!($field), $field); )*
+                    } )*
+                }
+            }
+
+            /// Rebuilds an event of kind `kind`, reading each field's text
+            /// form from `lookup(name)` (the inverse of
+            /// [`for_each_field`](Self::for_each_field) plus [`Field::write`]).
+            ///
+            /// # Errors
+            ///
+            /// Names the unknown kind, or the first missing or malformed field.
+            pub fn from_fields<'a>(
+                kind: &str,
+                mut lookup: impl FnMut(&str) -> Option<&'a str>,
+            ) -> Result<Self, String> {
+                match kind {
+                    $( $label => Ok($name::$variant {
+                        $( $field: read_field(stringify!($field), &mut lookup)?, )*
+                    }), )*
+                    other => Err(format!("unknown event kind {other:?}")),
+                }
+            }
+        }
+    };
 }
 
-impl TraceData {
-    /// Short kind label, used for event counting and text rendering.
-    pub fn kind_name(&self) -> &'static str {
+/// A [`TraceData`] field type and its text form in a flight-recorder line
+/// (`name=value`): integers in decimal, `bool` as `0`/`1`, `Option<u64>`
+/// with `-` for `None`, [`Time`] in picoseconds, labels verbatim.
+pub trait Field {
+    /// Appends the value's text form to `out`.
+    fn write(&self, out: &mut String);
+
+    /// Parses the text form back; the error says why `text` is invalid.
+    fn parse(text: &str) -> Result<Self, String>
+    where
+        Self: Sized;
+}
+
+fn parse_u64(text: &str) -> Result<u64, String> {
+    text.parse::<u64>().map_err(|e| e.to_string())
+}
+
+impl Field for u64 {
+    fn write(&self, out: &mut String) {
+        out.push_str(&self.to_string());
+    }
+    fn parse(text: &str) -> Result<Self, String> {
+        parse_u64(text)
+    }
+}
+
+impl Field for u32 {
+    fn write(&self, out: &mut String) {
+        out.push_str(&self.to_string());
+    }
+    fn parse(text: &str) -> Result<Self, String> {
+        let v = parse_u64(text)?;
+        u32::try_from(v).map_err(|_| format!("{v} is out of range for u32"))
+    }
+}
+
+impl Field for bool {
+    fn write(&self, out: &mut String) {
+        out.push(if *self { '1' } else { '0' });
+    }
+    fn parse(text: &str) -> Result<Self, String> {
+        Ok(parse_u64(text)? != 0)
+    }
+}
+
+impl Field for Option<u64> {
+    fn write(&self, out: &mut String) {
         match self {
-            TraceData::MsgSend { .. } => "msg_send",
-            TraceData::MsgDeliver { .. } => "msg_deliver",
-            TraceData::StoreIssue { .. } => "store_issue",
-            TraceData::StoreCommit { .. } => "store_commit",
-            TraceData::EpochOpen { .. } => "epoch_open",
-            TraceData::EpochClose { .. } => "epoch_close",
-            TraceData::NotifyRequest { .. } => "notify_request",
-            TraceData::NotifyArrive { .. } => "notify_arrive",
-            TraceData::TableInsert { .. } => "table_insert",
-            TraceData::TableEvict { .. } => "table_evict",
-            TraceData::TableStallFull { .. } => "table_stall_full",
-            TraceData::StallBegin { .. } => "stall_begin",
-            TraceData::StallEnd { .. } => "stall_end",
-            TraceData::FaultInject { .. } => "fault_inject",
-            TraceData::XportRetrans { .. } => "xport_retrans",
-            TraceData::XportDupDrop { .. } => "xport_dup_drop",
-            TraceData::CrashInject { .. } => "crash_inject",
-            TraceData::RecoverBegin { .. } => "recover_begin",
-            TraceData::RecoverEnd { .. } => "recover_end",
-            TraceData::XportStaleRej { .. } => "xport_stale_rej",
-            TraceData::StaleDrop { .. } => "stale_drop",
+            Some(v) => v.write(out),
+            None => out.push('-'),
         }
+    }
+    fn parse(text: &str) -> Result<Self, String> {
+        if text == "-" {
+            Ok(None)
+        } else {
+            parse_u64(text).map(Some)
+        }
+    }
+}
+
+impl Field for Time {
+    fn write(&self, out: &mut String) {
+        self.as_ps().write(out);
+    }
+    fn parse(text: &str) -> Result<Self, String> {
+        parse_u64(text).map(Time::from_ps)
+    }
+}
+
+impl Field for &'static str {
+    fn write(&self, out: &mut String) {
+        out.push_str(self);
+    }
+    fn parse(text: &str) -> Result<Self, String> {
+        Ok(intern_label(text))
+    }
+}
+
+/// Interns a parsed label so reconstructed [`TraceData`] can carry the
+/// `&'static str` fields the tracer vocabulary uses. The set of distinct
+/// labels is small and fixed by the emitting layers, so the leak is
+/// bounded.
+fn intern_label(s: &str) -> &'static str {
+    static CACHE: OnceLock<Mutex<HashMap<String, &'static str>>> = OnceLock::new();
+    let mut map = CACHE
+        .get_or_init(Default::default)
+        .lock()
+        .expect("label cache poisoned");
+    if let Some(&l) = map.get(s) {
+        return l;
+    }
+    let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
+    map.insert(s.to_string(), leaked);
+    leaked
+}
+
+fn read_field<'a, T: Field>(
+    name: &str,
+    lookup: &mut impl FnMut(&str) -> Option<&'a str>,
+) -> Result<T, String> {
+    let text = lookup(name).ok_or_else(|| format!("missing field {name}"))?;
+    T::parse(text).map_err(|e| format!("field {name}: {e}"))
+}
+
+trace_events! {
+    /// One traced protocol occurrence (the payload of a [`TraceEvent`]).
+    ///
+    /// Node identities are flat tile indices; `kind`/`class`/`cause`/`table`
+    /// labels are `&'static str` supplied by the emitting layer, keeping this
+    /// crate free of protocol types.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum TraceData {
+        /// A message departed its source toward the interconnect.
+        MsgSend = "msg_send" {
+            /// Source tile.
+            src: u32,
+            /// Destination tile.
+            dst: u32,
+            /// Message kind label (e.g. `"WtStore"`).
+            kind: &'static str,
+            /// Traffic-class label (e.g. `"Data"`).
+            class: &'static str,
+            /// Wire bytes.
+            bytes: u64,
+            /// Scheduled arrival time.
+            arrive: Time,
+        },
+        /// A message arrived at its destination.
+        MsgDeliver = "msg_deliver" {
+            /// Source tile.
+            src: u32,
+            /// Destination tile.
+            dst: u32,
+            /// Message kind label.
+            kind: &'static str,
+            /// Traffic-class label.
+            class: &'static str,
+            /// Wire bytes.
+            bytes: u64,
+        },
+        /// A core issued a store (write-through, posted, or Release).
+        StoreIssue = "store_issue" {
+            /// Issuing core.
+            core: u32,
+            /// Sender-local transaction id.
+            tid: u64,
+            /// First byte written.
+            addr: u64,
+            /// Payload bytes.
+            bytes: u32,
+            /// Whether this is a Release (ordered) store.
+            release: bool,
+            /// Issuing epoch, when the protocol has one.
+            epoch: Option<u64>,
+        },
+        /// A directory committed a store to memory.
+        StoreCommit = "store_commit" {
+            /// Committing directory.
+            dir: u32,
+            /// Originating core.
+            core: u32,
+            /// Transaction id from the issue (0 when the protocol has none).
+            tid: u64,
+            /// First byte written.
+            addr: u64,
+            /// Whether this was a Release (ordered) store.
+            release: bool,
+            /// Epoch the store belonged to, when the protocol has one.
+            epoch: Option<u64>,
+        },
+        /// A core opened a new epoch (after a Release store).
+        EpochOpen = "epoch_open" {
+            /// The core.
+            core: u32,
+            /// The new epoch number.
+            epoch: u64,
+        },
+        /// A core closed an epoch with a Release store.
+        EpochClose = "epoch_close" {
+            /// The core.
+            core: u32,
+            /// The epoch being closed.
+            epoch: u64,
+            /// Number of pending directories notified (paper §4.2 fan-out).
+            fanout: u32,
+        },
+        /// A request-for-notification was issued to a pending directory.
+        NotifyRequest = "notify_request" {
+            /// Requesting core.
+            core: u32,
+            /// Pending directory that must collect the epoch.
+            pending_dir: u32,
+            /// Destination directory of the triggering Release store.
+            dst_dir: u32,
+            /// Epoch being closed.
+            epoch: u64,
+        },
+        /// An inter-directory notification arrived at the Release's destination.
+        NotifyArrive = "notify_arrive" {
+            /// Receiving (destination) directory.
+            dir: u32,
+            /// Core whose epoch the notification covers.
+            core: u32,
+            /// The epoch.
+            epoch: u64,
+        },
+        /// A bounded lookup table gained an entry.
+        TableInsert = "table_insert" {
+            /// Owning node kind: `"core"` or `"dir"`.
+            node: &'static str,
+            /// Owning node's flat index.
+            id: u32,
+            /// Table label (e.g. `"cnt"`, `"unacked"`, `"noti"`, `"netbuf"`).
+            table: &'static str,
+            /// Occupancy after the insert (entries, or bytes for `"netbuf"`).
+            occ: u64,
+            /// Configured capacity (0 when unbounded).
+            cap: u64,
+        },
+        /// A bounded lookup table reclaimed an entry (paper §4.3).
+        TableEvict = "table_evict" {
+            /// Owning node kind: `"core"` or `"dir"`.
+            node: &'static str,
+            /// Owning node's flat index.
+            id: u32,
+            /// Table label.
+            table: &'static str,
+            /// Occupancy after the evict.
+            occ: u64,
+            /// Configured capacity (0 when unbounded).
+            cap: u64,
+        },
+        /// An operation stalled because a lookup table was full (paper §4.3).
+        TableStallFull = "table_stall_full" {
+            /// Owning node kind: `"core"` or `"dir"`.
+            node: &'static str,
+            /// Owning node's flat index.
+            id: u32,
+            /// Table label.
+            table: &'static str,
+            /// Configured capacity.
+            cap: u64,
+        },
+        /// A core frontend entered a stall episode.
+        StallBegin = "stall_begin" {
+            /// The stalled core.
+            core: u32,
+            /// Stall-cause label (e.g. `"AckWait"`, `"TableFull"`).
+            cause: &'static str,
+        },
+        /// A core frontend left a stall episode.
+        StallEnd = "stall_end" {
+            /// The core.
+            core: u32,
+            /// Stall-cause label.
+            cause: &'static str,
+            /// When the episode began.
+            since: Time,
+        },
+        /// The fault plan touched a message at the interconnect boundary.
+        FaultInject = "fault_inject" {
+            /// Source tile.
+            src: u32,
+            /// Destination tile.
+            dst: u32,
+            /// Traffic-class label.
+            class: &'static str,
+            /// Fault label: `"drop"`, `"dup"`, or `"delay"`.
+            fault: &'static str,
+            /// Injected extra latency (the duplicate's lag for `"dup"`).
+            extra: Time,
+        },
+        /// The reliable transport retransmitted an unacknowledged message.
+        XportRetrans = "xport_retrans" {
+            /// Source tile of the channel.
+            src: u32,
+            /// Destination tile of the channel.
+            dst: u32,
+            /// Channel sequence number being retransmitted.
+            seq: u64,
+            /// Retransmission attempt number (1 = first retry).
+            attempt: u32,
+        },
+        /// The transport receiver suppressed a duplicate delivery.
+        XportDupDrop = "xport_dup_drop" {
+            /// Source tile of the channel.
+            src: u32,
+            /// Destination tile of the channel.
+            dst: u32,
+            /// Duplicated sequence number.
+            seq: u64,
+        },
+        /// A node-scoped crash fault struck (directory-controller reset or host
+        /// transport reset).
+        CrashInject = "crash_inject" {
+            /// Host whose node(s) reset.
+            host: u32,
+            /// Crash-kind label: `"dir"` or `"xport"`.
+            kind: &'static str,
+            /// Units reset (directory engines wiped, or send channels replayed).
+            units: u32,
+        },
+        /// A core entered the recovery fence after learning a directory crashed.
+        RecoverBegin = "recover_begin" {
+            /// The recovering core.
+            core: u32,
+            /// The crashed directory.
+            dir: u32,
+        },
+        /// A core finished conservative re-fencing: in-flight epochs quiesced
+        /// and its ordering state re-registered with the crashed directories.
+        RecoverEnd = "recover_end" {
+            /// The core.
+            core: u32,
+            /// When the recovery fence began.
+            since: Time,
+            /// Re-fence messages sent (re-issued Releases + ReqNotifies).
+            sends: u32,
+        },
+        /// The transport rejected an arrival tagged with a stale session epoch.
+        XportStaleRej = "xport_stale_rej" {
+            /// Source tile of the channel.
+            src: u32,
+            /// Destination tile of the channel.
+            dst: u32,
+            /// Sequence number of the stale arrival.
+            seq: u64,
+            /// Session epoch it was tagged with.
+            sess: u32,
+        },
+        /// A directory dropped a stale recovery re-issue whose epoch was already
+        /// committed before the crash.
+        StaleDrop = "stale_drop" {
+            /// The directory.
+            dir: u32,
+            /// The issuing core.
+            core: u32,
+            /// The already-committed epoch.
+            ep: u64,
+            /// What was dropped: `"release"`, `"reqnotify"`, or `"notify"`.
+            what: &'static str,
+        },
     }
 }
 
@@ -516,10 +672,6 @@ impl std::fmt::Debug for Tracer {
     }
 }
 
-/// Process-wide count of tracers built from the environment, used to suffix
-/// trace files when one process runs many simulations (e.g. a sweep).
-static ENV_TRACERS: AtomicU64 = AtomicU64::new(0);
-
 impl Tracer {
     /// A tracer with nothing installed (all emissions are no-ops).
     pub fn disabled() -> Self {
@@ -532,35 +684,6 @@ impl Tracer {
             sink: Some(sink),
             ..Tracer::default()
         }
-    }
-
-    /// Builds a tracer from `CORD_TRACE` / `CORD_TRACE_OUT`.
-    ///
-    /// When `CORD_TRACE` is set (and not `0`), installs a
-    /// [`ChromeTraceWriter`] streaming to `CORD_TRACE_OUT` (default
-    /// `results/cord_trace.json`) and attaches a [`MetricsRecorder`]. When a
-    /// process builds several env tracers (a sweep), later trace files get a
-    /// `.N` suffix so each run keeps its own file. Returns a disabled tracer
-    /// otherwise.
-    pub fn from_env() -> Self {
-        match std::env::var("CORD_TRACE") {
-            Ok(v) if !v.is_empty() && v != "0" => {}
-            _ => return Tracer::disabled(),
-        }
-        let base = std::env::var("CORD_TRACE_OUT")
-            .unwrap_or_else(|_| "results/cord_trace.json".to_string());
-        let n = ENV_TRACERS.fetch_add(1, Ordering::Relaxed);
-        let path = if n == 0 { base } else { format!("{base}.{n}") };
-        if let Some(dir) = std::path::Path::new(&path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let mut tr = Tracer::disabled();
-        match ChromeTraceWriter::create(&path) {
-            Ok(w) => tr.install(Box::new(w)),
-            Err(e) => eprintln!("CORD_TRACE: cannot open {path}: {e}"),
-        }
-        tr.attach_metrics(MetricsRecorder::default());
-        tr
     }
 
     /// Installs (or replaces) the sink.

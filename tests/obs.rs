@@ -191,6 +191,11 @@ fn flight_recorder_round_trips_crash_events() {
     let merged = dump.merged();
     let total: usize = rings.iter().map(|(_, r)| r.len()).sum();
     assert_eq!(merged.len(), total, "events lost in the round-trip");
+    let retained: Vec<_> = rings
+        .iter()
+        .flat_map(|(p, r)| r.events().map(move |ev| (*p, *ev)))
+        .collect();
+    assert_eq!(dump.events, retained, "events changed in the round-trip");
     use cord_repro::cord_sim::trace::TraceData;
     let has = |f: &dyn Fn(&TraceData) -> bool| merged.iter().any(|(_, ev)| f(&ev.data));
     assert!(
