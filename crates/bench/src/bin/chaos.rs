@@ -6,8 +6,7 @@
 //! reliable transport and liveness watchdog armed. For every run the
 //! campaign asserts the release-consistency invariant (every value read
 //! after a flag wait equals the fault-free value) and termination (no
-//! watchdog trip, no event-cap blowout), then records timings into
-//! `results/BENCH_chaos.json` (override with `CORD_BENCH_JSON`).
+//! watchdog trip, no event-cap blowout), then prints one row per run.
 //!
 //! The matrix has two tiers: `fabric` (message-level loss, duplication,
 //! reordering, degradation bursts) and `crash` (node-scoped resets — a
@@ -32,7 +31,6 @@ use std::time::Instant;
 
 use cord::{RunError, RunResult, System};
 use cord_bench::print_table;
-use cord_bench::sweep::Recorder;
 use cord_proto::{Program, ProtocolKind, SystemConfig};
 use cord_sim::obs::{render_flight, Progress};
 use cord_sim::Time;
@@ -191,13 +189,9 @@ fn main() {
         ENGINES.map(ProtocolKind::label)
     );
 
-    if std::env::var_os("CORD_BENCH_JSON").is_none() {
-        std::env::set_var("CORD_BENCH_JSON", "results/BENCH_chaos.json");
-    }
     let seeds: &[u64] = if quick { &[7] } else { &[7, 41, 1234] };
     let (rounds, words) = if quick { (4, 8) } else { (8, 16) };
 
-    let mut rec = Recorder::new("chaos");
     // Campaign size, counted up front for the status line: engines × their
     // eligible workloads × plans in selected tiers × seeds.
     let workloads_for = |kind: ProtocolKind| if kind.global_rc() { 2u64 } else { 1 };
@@ -228,13 +222,10 @@ fn main() {
                         let label = format!("{}/{workload}/{plan}/s{seed}", kind.label());
                         let (outcome, wall_ms, consumer, dump) =
                             run_cell(kind, hosts, programs_for.as_ref(), Some(&full), flight);
-                        match &outcome {
-                            Ok(r) => rec.record(&label, wall_ms, r.completion().as_ns_f64()),
-                            Err(_) => {
-                                prog.flag();
-                                if let Some(text) = &dump {
-                                    write_flight_dump(&label, text);
-                                }
+                        if outcome.is_err() {
+                            prog.flag();
+                            if let Some(text) = &dump {
+                                write_flight_dump(&label, text);
                             }
                         }
                         prog.inc(1);
@@ -291,7 +282,6 @@ fn main() {
         &["run", "wall (ms)", "verdict"],
         &rows,
     );
-    rec.finish();
 
     // Negative check: a lost Notify with retransmission disabled must be
     // caught by the liveness watchdog, with a narrative naming the hang.

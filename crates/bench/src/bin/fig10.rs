@@ -9,9 +9,9 @@
 //! CORD should match both simultaneously.
 
 use cord::System;
-use cord_bench::sweep::{run_recorded, Job};
 use cord_bench::{config, print_table, Fabric};
 use cord_proto::{ConsistencyModel, ProtocolKind, SystemConfig};
+use cord_sim::par;
 use cord_workloads::MicroBench;
 
 fn bench() -> MicroBench {
@@ -59,21 +59,15 @@ fn variants(fabric: Fabric) -> Vec<(String, SystemConfig)> {
 fn main() {
     let per_fabric: Vec<(Fabric, Vec<(String, SystemConfig)>)> =
         Fabric::BOTH.into_iter().map(|f| (f, variants(f))).collect();
-    let jobs: Vec<Job<_>> = per_fabric
+    let runs: Vec<&SystemConfig> = per_fabric
         .iter()
-        .flat_map(|(fabric, vs)| {
-            vs.iter().map(move |(label, cfg)| -> Job<_> {
-                (
-                    format!("{}/{label}", fabric.label()),
-                    Box::new(move || {
-                        let programs = bench().programs(cfg);
-                        System::new(cfg.clone(), programs).run()
-                    }),
-                )
-            })
-        })
+        .flat_map(|(_, vs)| vs.iter().map(|(_, cfg)| cfg))
         .collect();
-    let mut results = run_recorded("fig10", jobs, |r| r.completion().as_ns_f64()).into_iter();
+    let mut results = par::run_parallel(&runs, |&cfg| {
+        let programs = bench().programs(cfg);
+        System::new(cfg.clone(), programs).run()
+    })
+    .into_iter();
 
     for (fabric, vs) in &per_fabric {
         let pairs: Vec<(f64, f64)> = vs

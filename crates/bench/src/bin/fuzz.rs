@@ -11,17 +11,17 @@
 //!   corpus from `tests/repros/` plus the on-disk corpus directory,
 //!   then runs an energy-scheduled mutate/generate loop where novel
 //!   trace-coverage admits scenarios back into the corpus. The corpus
-//!   directory is rewritten (greedily minimized) on exit, new
-//!   counterexamples are shrunk and written under `--out`, and the
-//!   coverage record — per-engine edge counts, edges-over-iterations, and
-//!   the guided-vs-blind comparison at equal iteration count — lands in
-//!   `results/BENCH_fuzz.json` under the `fuzz-serve` key. All recorded
-//!   numbers are simulated quantities: the record is byte-identical for a
-//!   given `(seed, iterations)` on any host at any worker count.
+//!   directory is rewritten (greedily minimized) on exit; new
+//!   counterexamples are shrunk and written under `--out`, next to the
+//!   guided union map (`guided-coverage.txt`). It prints the per-engine
+//!   edge counts and the guided-vs-blind comparison at equal iteration
+//!   count, and exits 1 if guidance did not beat blind generation or a
+//!   counterexample was found.
 //! * **Check** (`--check-coverage`): replays the committed corpus, unions
-//!   its coverage, and fails if the distinct-edge count shrank below the
-//!   `cov/corpus` value recorded in `BENCH_fuzz.json` — the CI guard
-//!   against silently losing fault-recovery coverage.
+//!   its coverage, rewrites `results/fuzz-coverage.txt` with the union map
+//!   and fails if it differs in any edge or count from the file as it was
+//!   before the run — the CI guard against silently losing fault-recovery
+//!   coverage. The map depends only on `tests/repros/`.
 //!
 //! ```text
 //! fuzz [--quick] [--seed N] [--count N] [--max-events N] [--no-model]
@@ -39,7 +39,7 @@
 //! progress line on stderr) — and exits non-zero on any `expect` mismatch.
 
 use cord_bench::print_table;
-use cord_bench::sweep::{json_path, Recorder};
+use cord_bench::record;
 use cord_fuzz::{
     blind_union, narrate_rc_violation, replay_union, run_campaign, run_guided, run_scenario,
     CampaignConfig, GuidedConfig, Verdict,
@@ -236,25 +236,11 @@ fn replay_dir(dir: &std::path::Path) -> i32 {
     }
 }
 
-/// Scrapes the recorded `cov/corpus` distinct-edge count out of the
-/// `fuzz-serve` entry in the benchmark record, if present.
-fn recorded_corpus_edges() -> Option<u64> {
-    let text = std::fs::read_to_string(json_path()).ok()?;
-    let entry = text
-        .lines()
-        .find(|l| l.contains("\"key\":\"fuzz-serve\""))?;
-    let at = entry.find("\"label\":\"cov/corpus\"")?;
-    let rest = &entry[at..];
-    let sim = rest.find("\"sim_ns\":")? + "\"sim_ns\":".len();
-    let digits: String = rest[sim..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    digits.parse::<f64>().ok().map(|v| v as u64)
-}
+/// The committed corpus' coverage union map, gated by `--check-coverage`.
+const COVERAGE_MAP: &str = "results/fuzz-coverage.txt";
 
 /// `--check-coverage`: recompute the committed corpus' coverage union and
-/// compare against the recorded baseline. Returns the exit code.
+/// gate its map exactly against [`COVERAGE_MAP`]. Returns the exit code.
 fn check_coverage() -> i32 {
     let seeds = committed_corpus();
     if seeds.is_empty() {
@@ -262,37 +248,13 @@ fn check_coverage() -> i32 {
         return 2;
     }
     let union = replay_union(&seeds, None);
-    let current = union.distinct() as u64;
-    let Some(recorded) = recorded_corpus_edges() else {
-        eprintln!(
-            "no cov/corpus baseline under key \"fuzz-serve\" in {} — \
-             run `fuzz --serve --quick` to record one",
-            json_path().display()
-        );
-        return 2;
-    };
     println!(
-        "committed-corpus coverage: {current} distinct edge(s) (recorded baseline {recorded})"
+        "committed-corpus coverage: {} distinct edge(s) over {} repro(s)",
+        union.distinct(),
+        seeds.len()
     );
-    match current.cmp(&recorded) {
-        std::cmp::Ordering::Less => {
-            eprintln!(
-                "COVERAGE REGRESSION: the committed corpus now exercises {current} \
-                 distinct edges, down from {recorded}; a protocol/trace change lost \
-                 fault-recovery coverage (or the corpus shrank). If intentional, \
-                 re-record with `fuzz --serve --quick`."
-            );
-            1
-        }
-        std::cmp::Ordering::Greater => {
-            println!(
-                "note: coverage grew past the baseline — refresh it with \
-                 `fuzz --serve --quick` to tighten the check"
-            );
-            0
-        }
-        std::cmp::Ordering::Equal => 0,
-    }
+    record::gate_text(COVERAGE_MAP, &union.render());
+    0
 }
 
 /// `--serve`: the coverage-guided daemon loop. Returns the exit code.
@@ -311,9 +273,8 @@ fn serve(args: &Args) -> i32 {
 
     // Seed order: the committed corpus first, then whatever an earlier
     // serve run left in the corpus directory.
-    let committed = committed_corpus();
     let corpus_dir = std::path::Path::new(&args.corpus);
-    let mut seeds = committed.clone();
+    let mut seeds = committed_corpus();
     if corpus_dir.is_dir() {
         match cord_fuzz::corpus::load_dir(corpus_dir) {
             Ok((extra, warnings)) => {
@@ -325,10 +286,6 @@ fn serve(args: &Args) -> i32 {
             Err(e) => eprintln!("warning: cannot read {}: {e}", args.corpus),
         }
     }
-
-    // The committed corpus' own coverage union is the `--check-coverage`
-    // baseline; compute it from the committed files only.
-    let corpus_cov = replay_union(&committed, None);
 
     let t0 = std::time::Instant::now();
     std::panic::set_hook(Box::new(|_| {}));
@@ -351,89 +308,34 @@ fn serve(args: &Args) -> i32 {
         eprintln!("warning: cannot sync corpus dir {}: {e}", args.corpus);
     }
 
-    // Shrunk counterexamples (new ones only — seed replays never count).
-    if !guided.failures.is_empty() {
-        if let Err(e) = std::fs::create_dir_all(&args.out) {
-            eprintln!("cannot create {}: {e}", args.out);
-            return 2;
-        }
-        for f in &guided.failures {
-            let path = format!("{}/g{:04}.repro", args.out, f.index);
-            if let Err(e) = std::fs::write(&path, f.repro_text(cfg.seed)) {
-                eprintln!("cannot write {path}: {e}");
-            }
-            println!(
-                "FAILURE g{:04}: {} — shrunk {} → {} ops in {} runs, repro: {path}",
-                f.index,
-                f.verdict.class(),
-                f.scenario.op_count(),
-                f.shrunk.op_count(),
-                f.stats.attempts,
-            );
-        }
+    // Shrunk counterexamples (new ones only — seed replays never count)
+    // and the guided union map, a diffable text artifact (CI uploads it on
+    // failure).
+    if let Err(e) = std::fs::create_dir_all(&args.out) {
+        eprintln!("cannot create {}: {e}", args.out);
+        return 2;
     }
-
-    // The union map as a diffable text artifact (CI uploads it on failure).
-    let cov_path = "results/fuzz-coverage.txt";
-    if std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write(cov_path, guided.corpus.union.render()))
-        .is_err()
-    {
-        eprintln!("warning: cannot write {cov_path}");
-    }
-
-    // Benchmark record: simulated/derived quantities only.
-    let guided_edges = guided.corpus.union.distinct() as u64;
-    let blind_edges = blind.distinct() as u64;
-    let mut rec = Recorder::new_deterministic("fuzz-serve");
-    rec.record_with_metrics(
-        "cov/corpus",
-        0.0,
-        corpus_cov.distinct() as f64,
-        Some(corpus_cov.summary_json()),
-    );
-    rec.record_with_metrics(
-        "cov/guided",
-        0.0,
-        guided_edges as f64,
-        Some(guided.corpus.union.summary_json()),
-    );
-    rec.record_with_metrics(
-        "cov/blind",
-        0.0,
-        blind_edges as f64,
-        Some(blind.summary_json()),
-    );
-    for (engine, map) in &guided.per_engine {
-        rec.record_with_metrics(
-            &format!("cov/engine/{engine}"),
-            0.0,
-            map.distinct() as f64,
-            Some(map.summary_json()),
+    for f in &guided.failures {
+        let path = format!("{}/g{:04}.repro", args.out, f.index);
+        if let Err(e) = std::fs::write(&path, f.repro_text(cfg.seed)) {
+            eprintln!("cannot write {path}: {e}");
+        }
+        println!(
+            "FAILURE g{:04}: {} — shrunk {} → {} ops in {} runs, repro: {path}",
+            f.index,
+            f.verdict.class(),
+            f.scenario.op_count(),
+            f.shrunk.op_count(),
+            f.stats.attempts,
         );
     }
-    for (it, edges) in &guided.edges_over_time {
-        rec.record(&format!("edges/i{it:05}"), 0.0, *edges as f64);
+    let cov_path = format!("{}/guided-coverage.txt", args.out);
+    if let Err(e) = std::fs::write(&cov_path, guided.corpus.union.render()) {
+        eprintln!("warning: cannot write {cov_path}: {e}");
     }
-    rec.record_with_metrics(
-        "serve",
-        0.0,
-        0.0,
-        Some(format!(
-            "{{\"seed\":{},\"iterations\":{},\"mutated\":{},\"blind\":{},\
-             \"corpus\":{},\"minimized\":{},\"guided_edges\":{guided_edges},\
-             \"blind_edges\":{blind_edges},\"failures\":{}}}",
-            cfg.seed,
-            guided.iterations,
-            guided.mutated,
-            guided.blind,
-            full,
-            pruned.entries.len(),
-            guided.failures.len()
-        )),
-    );
-    rec.finish();
 
+    let guided_edges = guided.corpus.union.distinct() as u64;
+    let blind_edges = blind.distinct() as u64;
     let rows: Vec<Vec<String>> = guided
         .per_engine
         .iter()
@@ -480,8 +382,8 @@ fn serve(args: &Args) -> i32 {
 fn main() {
     // A scenario's fault spec is its only fault source; an inherited
     // environment spec would corrupt the fault-free baselines. Coverage
-    // records additionally pin the engine choice (monolithic vs sharded)
-    // so the recorded maps are environment-independent.
+    // maps additionally pin the engine choice (monolithic vs sharded) so
+    // they are environment-independent.
     std::env::remove_var("CORD_FAULTS");
     let args = parse_args();
     if let Some(path) = &args.replay {
@@ -492,9 +394,6 @@ fn main() {
             replay_file(path)
         };
         std::process::exit(code);
-    }
-    if std::env::var_os("CORD_BENCH_JSON").is_none() {
-        std::env::set_var("CORD_BENCH_JSON", "results/BENCH_fuzz.json");
     }
     if args.serve || args.check_coverage {
         std::env::remove_var("CORD_SIM_THREADS");
@@ -520,15 +419,6 @@ fn main() {
     let campaign = run_campaign(&cfg);
     let wall = t0.elapsed().as_secs_f64();
     let _ = std::panic::take_hook();
-
-    // Benchmark record: simulated quantities only, so the file is
-    // byte-identical for a given (seed, count) at any worker count.
-    let mut rec = Recorder::new_deterministic("fuzz");
-    for o in &campaign.outcomes {
-        rec.record(&o.label, 0.0, o.report.sim_ns);
-    }
-    rec.record_with_metrics("campaign", 0.0, 0.0, Some(campaign.stats_json(&cfg)));
-    rec.finish();
 
     let mut classes = std::collections::BTreeMap::<&str, u64>::new();
     for o in &campaign.outcomes {

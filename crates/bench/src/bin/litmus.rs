@@ -4,80 +4,93 @@
 //! stress configurations), source ordering, mixed CORD/SO, and message
 //! passing, then prints the campaign totals — including the MP violations
 //! the paper's §3.2 predicts. Placements within each shape are explored in
-//! parallel (`CORD_THREADS`); each (system, shape) campaign is recorded into
-//! `BENCH_sweeps.json`.
+//! parallel (`CORD_THREADS`).
 //!
-//! A final scaling phase re-runs the CORD suite through [`explore_with`]
-//! serially and at `min(8, host width)` shards, with symmetry reduction on
-//! and off, and records states/sec, peak frontier, level count, and group
-//! order per entry into `results/BENCH_check.json` (keys `check#t1` /
-//! `check#t<N>`), then prints the parallel speedup and symmetry reduction
-//! factor.
+//! A final scaling phase re-runs the CORD suite plus the scaling fixtures
+//! through [`explore_with`] serially, with symmetry reduction on (`sym/…`)
+//! and off (`raw/…`). It writes each entry's state count, level count, peak
+//! frontier, symmetry-group order and per-level frontier series to
+//! `results/BENCH_check.json` and gates them exactly against the file as
+//! it was before the run. A second pass at `min(8, host width)` shards must
+//! reproduce every counter. Timings go to stderr only.
 
 use std::time::Instant;
 
 use cord_bench::print_table;
-use cord_bench::sweep::Recorder;
+use cord_bench::record::{self, json_escape, Rules};
 use cord_sim::obs::Progress;
 
 use cord_check::{
     campaign_entries, classic_suite, explore, explore_all_placements, explore_with,
-    narrate_violation, scaling_suite, stress_configs, weak_suite, CheckConfig, ExploreOpts, Litmus,
-    Report, ThreadProto, Verdict,
+    narrate_violation, scaling_suite, stress_configs, weak_suite, CheckConfig, ExploreOpts,
+    ExploreStats, Litmus, Report, ThreadProto, Verdict,
 };
 
 const CAP: usize = 2_000_000;
 
-fn explore_recorded(
-    rec: &mut Recorder,
-    prog: &Progress,
-    label: &str,
-    cfg: &CheckConfig,
-    lit: &Litmus,
-) -> Vec<(Vec<u8>, Report)> {
-    let t0 = Instant::now();
+/// The checker record, written and gated by every run.
+const RECORD: &str = "results/BENCH_check.json";
+
+/// Every counter in the checker record is deterministic.
+const RULES: Rules = Rules {
+    exact: &["states", "levels", "peak_frontier", "sym_order", "frontier"],
+    timed: |_| false,
+};
+
+fn explore_counted(prog: &Progress, cfg: &CheckConfig, lit: &Litmus) -> Vec<(Vec<u8>, Report)> {
     let out = explore_all_placements(cfg, lit, CAP);
-    rec.record(label, t0.elapsed().as_secs_f64() * 1e3, 0.0);
     prog.inc(1);
     out
 }
 
+/// One scaling entry's counters: its label, state count and search shape.
+type Counters = (String, usize, ExploreStats);
+
 /// Runs every campaign entry through [`explore_with`] at fixed `opts`,
-/// recording per-entry wall-clock plus the deterministic search-shape
-/// counters (and derived states/sec) under `"<tag>/<entry>"`. Returns the
-/// pass's total wall-clock in ms.
+/// labelling each `"<tag>/<entry>"`. Returns the counters and the pass's
+/// wall-clock in ms.
 fn check_scaling_pass(
-    rec: &mut Recorder,
     entries: &[(String, CheckConfig, Litmus, Vec<u8>)],
     opts: ExploreOpts,
     tag: &str,
-) -> f64 {
-    let mut total_ms = 0.0;
-    for (label, cfg, lit, placement) in entries {
-        let t0 = Instant::now();
-        let (report, stats) = explore_with(cfg, lit, placement, CAP, opts);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        total_ms += wall_ms;
-        let states_per_sec = report.states as f64 / (wall_ms / 1e3).max(1e-9);
-        // Per-level frontier sizes: the deterministic search-shape series
-        // (same role as the simulator's CORD_OBS time series).
-        let frontier = stats
-            .frontier
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(",");
-        let metrics = format!(
-            "{{\"states\":{},\"peak_frontier\":{},\"levels\":{},\"sym_order\":{},\"states_per_sec\":{:.0},\"frontier\":[{}]}}",
-            report.states, stats.peak_frontier, stats.levels, stats.symmetry_order, states_per_sec, frontier
-        );
-        rec.record_with_metrics(&format!("{tag}/{label}"), wall_ms, 0.0, Some(metrics));
-    }
-    total_ms
+) -> (Vec<Counters>, f64) {
+    let t0 = Instant::now();
+    let counters = entries
+        .iter()
+        .map(|(label, cfg, lit, placement)| {
+            let (report, stats) = explore_with(cfg, lit, placement, CAP, opts);
+            (format!("{tag}/{label}"), report.states, stats)
+        })
+        .collect();
+    (counters, t0.elapsed().as_secs_f64() * 1e3)
+}
+
+/// The checker record: one entry per scaling entry. The per-level frontier
+/// series is a string, so the gate compares it as one field. `litmus` has
+/// one mode, filed as the full (`"quick":false`) record.
+fn check_record(counters: &[Counters]) -> String {
+    let entries: Vec<String> = counters
+        .iter()
+        .map(|(label, states, s)| {
+            let frontier: Vec<String> = s.frontier.iter().map(u64::to_string).collect();
+            format!(
+                "{{\"label\":\"{}\",\"states\":{states},\"levels\":{},\"peak_frontier\":{},\
+                 \"sym_order\":{},\"frontier\":\"{}\"}}",
+                json_escape(label),
+                s.levels,
+                s.peak_frontier,
+                s.symmetry_order,
+                frontier.join(",")
+            )
+        })
+        .collect();
+    format!(
+        "{{\"bench\":\"check\",\"quick\":false,\"entries\":[{}]}}",
+        entries.join(",")
+    )
 }
 
 fn main() {
-    let mut rec = Recorder::new("litmus");
     // One progress unit per (system, shape) exploration: every stress
     // config, SO, mixed, and MP over the classic suite, plus the weak suite.
     let units = (stress_configs().len() + 3) * classic_suite().len() + weak_suite().len();
@@ -96,8 +109,7 @@ fn main() {
         let mut inconclusive = 0;
         for lit in classic_suite() {
             let cfg = mk(lit.thread_count(), 3);
-            let label = format!("CORD[{cfg_name}]/{}", lit.name);
-            for (_, report) in explore_recorded(&mut rec, &prog, &label, &cfg, &lit) {
+            for (_, report) in explore_counted(&prog, &cfg, &lit) {
                 checks += 1;
                 states += report.states;
                 match report.verdict(&lit) {
@@ -143,8 +155,7 @@ fn main() {
                     ..CheckConfig::cord(n, 3)
                 }
             };
-            let label = format!("{name}/{}", lit.name);
-            for (_, report) in explore_recorded(&mut rec, &prog, &label, &cfg, &lit) {
+            for (_, report) in explore_counted(&prog, &cfg, &lit) {
                 checks += 1;
                 states += report.states;
                 match report.verdict(&lit) {
@@ -172,8 +183,7 @@ fn main() {
     for lit in classic_suite() {
         let mut bad = false;
         let cfg = CheckConfig::mp(lit.thread_count(), 3);
-        let label = format!("MP/{}", lit.name);
-        for (_, report) in explore_recorded(&mut rec, &prog, &label, &cfg, &lit) {
+        for (_, report) in explore_counted(&prog, &cfg, &lit) {
             mp_checks += 1;
             bad |= !report.violations(&lit).is_empty();
         }
@@ -215,8 +225,7 @@ fn main() {
     for (lit, must_see) in weak_suite() {
         let mut seen = false;
         let cfg = CheckConfig::cord(lit.thread_count(), 3);
-        let label = format!("weak/{}", lit.name);
-        for (_, report) in explore_recorded(&mut rec, &prog, &label, &cfg, &lit) {
+        for (_, report) in explore_counted(&prog, &cfg, &lit) {
             seen |= report.outcomes.iter().any(|flat| {
                 let split = flat.len() - lit.vars as usize;
                 let (reg_flat, mem) = flat.split_at(split);
@@ -263,13 +272,11 @@ fn main() {
             n.outcome
         );
     }
-    rec.finish();
 
     // Checker scaling phase: the CORD suite plus the heavyweight
-    // scaling fixtures through the sharded explorer, serial vs.
-    // min(8, host width), symmetry on vs. off. Entries and all
-    // search-shape counters are deterministic; only the wall-clocks (and
-    // the states/sec derived from them) vary by host.
+    // scaling fixtures through the sharded explorer, symmetry on vs. off,
+    // serially and at min(8, host width). Entries and all search-shape
+    // counters are deterministic; only the wall-clocks vary by host.
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     let par_t = host.min(8);
     let mut entries = campaign_entries();
@@ -284,30 +291,20 @@ fn main() {
         ..sym
     };
 
-    let mut rec1 = Recorder::new("check")
-        .with_threads(1)
-        .at_path("results/BENCH_check.json");
-    let serial_sym_ms = check_scaling_pass(&mut rec1, &entries, sym, "sym");
-    let serial_raw_ms = check_scaling_pass(&mut rec1, &entries, raw, "raw");
-    rec1.finish();
-
+    let (mut serial, serial_sym_ms) = check_scaling_pass(&entries, sym, "sym");
+    let (serial_raw, serial_raw_ms) = check_scaling_pass(&entries, raw, "raw");
+    serial.extend(serial_raw);
     eprintln!(
-        "\nChecker scaling ({} entries, results/BENCH_check.json): \
-         t1 sym {serial_sym_ms:.0} ms, raw {serial_raw_ms:.0} ms; \
+        "\nChecker scaling ({} entries): t1 sym {serial_sym_ms:.0} ms, raw {serial_raw_ms:.0} ms; \
          symmetry reduction: {:.2}x",
         entries.len(),
         serial_raw_ms / serial_sym_ms.max(1e-9)
     );
 
-    // The parallel pass only means something on a multicore host — and at
-    // par_t == 1 its record key would collide with (and overwrite) the
-    // serial entry above.
+    // The parallel pass only means something on a multicore host. It must
+    // reproduce every serial counter, and records nothing of its own.
     if par_t > 1 {
-        let mut recn = Recorder::new("check")
-            .with_threads(par_t)
-            .at_path("results/BENCH_check.json");
-        let par_sym_ms = check_scaling_pass(
-            &mut recn,
+        let (mut par, par_sym_ms) = check_scaling_pass(
             &entries,
             ExploreOpts {
                 threads: par_t,
@@ -315,8 +312,7 @@ fn main() {
             },
             "sym",
         );
-        let par_raw_ms = check_scaling_pass(
-            &mut recn,
+        let (par_raw, par_raw_ms) = check_scaling_pass(
             &entries,
             ExploreOpts {
                 threads: par_t,
@@ -324,14 +320,62 @@ fn main() {
             },
             "raw",
         );
-        recn.finish();
+        par.extend(par_raw);
+        if let Some((s, p)) = serial.iter().zip(&par).find(|(s, p)| s != p) {
+            eprintln!(
+                "t{par_t} scaling pass diverged from t1 on {}:\n  t1: {s:?}\n  t{par_t}: {p:?}",
+                s.0
+            );
+            std::process::exit(1);
+        }
         eprintln!(
             "t{par_t}: sym {par_sym_ms:.0} ms, raw {par_raw_ms:.0} ms; \
-             parallel speedup sym {:.2}x, raw {:.2}x",
+             parallel speedup sym {:.2}x, raw {:.2}x; counters equal t1's",
             serial_sym_ms / par_sym_ms.max(1e-9),
             serial_raw_ms / par_raw_ms.max(1e-9)
         );
     } else {
         eprintln!("single-CPU host: skipping the t>1 scaling pass");
+    }
+
+    let json = check_record(&serial);
+    let baseline = std::fs::read_to_string(RECORD).ok();
+    record::write(RECORD, false, &json);
+    record::gate(baseline.as_deref(), &json, false, RECORD, &RULES);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Inserts a `9` at the start of `key`'s value (inside the quotes of a
+    /// string value), so the value differs whatever it was.
+    fn perturb(record: &str, key: &str) -> String {
+        let tag = format!("\"{key}\":");
+        let at = record.find(&tag).expect("field present") + tag.len();
+        let at = at + usize::from(record[at..].starts_with('"'));
+        format!("{}9{}", &record[..at], &record[at..])
+    }
+
+    #[test]
+    fn gate_fails_on_every_perturbed_counter() {
+        let stats = ExploreStats {
+            peak_frontier: 2,
+            levels: 3,
+            symmetry_order: 1,
+            frontier: vec![1, 2, 1],
+        };
+        let sample = check_record(&[("sym/MP@[0, 1]".into(), 13, stats)]);
+        let (failures, passed, skipped) = record::compare(&sample, &sample, &RULES);
+        assert!(failures.is_empty() && skipped.is_none(), "{failures:?}");
+        assert_eq!(passed, RULES.exact.len());
+        for &key in RULES.exact {
+            let (failures, ..) = record::compare(&sample, &perturb(&sample, key), &RULES);
+            assert_eq!(failures.len(), 1, "{key}: {failures:?}");
+            assert!(
+                failures[0].starts_with(&format!("sym/MP@[0, 1]: {key} ")),
+                "{failures:?}"
+            );
+        }
     }
 }

@@ -2,18 +2,18 @@
 //!
 //! Each figure/table has a dedicated binary (`fig2`, `fig7`, …, `table3`,
 //! `litmus`) that runs the corresponding experiment on the simulator and
-//! prints the same rows/series the paper reports. This library holds the
-//! pieces they share: protocol/fabric selection, run helpers, the parallel
-//! [`sweep`] engine (worker-pool fan-out with deterministic input-order
-//! collection and `BENCH_sweeps.json` timing records), the bench [`record`]
-//! writer and regression gate, and plain-text table formatting.
+//! prints the same rows/series the paper reports, fanning its independent
+//! runs out with [`cord_sim::par::run_parallel`] (`CORD_THREADS` workers,
+//! results in input order, so the output is identical to a serial run).
+//! This library holds the pieces they share: protocol/fabric selection,
+//! run helpers, the bench [`record`] writer and regression gate, and
+//! plain-text table formatting.
 //!
 //! Absolute numbers will differ from the paper's gem5 testbed; the
 //! *comparisons* (who wins, by roughly what factor, where crossovers fall)
 //! are the reproduction target — see EXPERIMENTS.md.
 
 pub mod record;
-pub mod sweep;
 
 use cord::{RunResult, System};
 use cord_proto::{ConsistencyModel, ProtocolKind, SystemConfig};

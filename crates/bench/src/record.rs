@@ -1,7 +1,8 @@
-//! Bench records and their regression gate, shared by `despeed` and
-//! `scale`.
+//! Committed records under `results/` and their regression gates: the
+//! only code that writes one. `despeed`, `scale` and `litmus` write JSON
+//! records; `fuzz --check-coverage` writes a plain-text one.
 //!
-//! A record file is a JSON array with one single-line record per mode,
+//! A JSON record file is an array with one single-line record per mode,
 //! the `--quick` record first, each keyed by its `"quick"` flag. A record
 //! holds labelled entries (`{"label":"…", …}`). The gate compares a fresh
 //! record with the baseline, which is the record file as it was before the
@@ -12,6 +13,10 @@
 //! * **`per_sec`** may fall by at most [`TOLERANCE`], and is compared only
 //!   when the baseline was recorded on this host's core count; otherwise
 //!   it is warned about and skipped.
+//!
+//! A text record ([`gate_text`]) must match its baseline byte for byte.
+//!
+//! Every message goes to stderr, so a binary's stdout stays diffable.
 
 /// Largest allowed fractional `per_sec` drop against the baseline.
 pub const TOLERANCE: f64 = 0.20;
@@ -53,13 +58,13 @@ pub fn write(path: &str, quick: bool, record: &str) {
     }
     std::fs::write(path, format!("[\n{}\n]\n", records.join(",\n")))
         .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("\nrecord written to {path}");
+    eprintln!("\nrecord written to {path}");
 }
 
 /// Compares the fresh record `new` with the baseline record `base`.
 /// Returns one line per mismatch, the number of fields that passed, and
 /// a warning if `per_sec` was not compared.
-fn compare(base: &str, new: &str, rules: &Rules) -> (Vec<String>, usize, Option<String>) {
+pub fn compare(base: &str, new: &str, rules: &Rules) -> (Vec<String>, usize, Option<String>) {
     let (old, fresh) = (entries(base), entries(new));
     let (mut failures, mut passed) = (Vec::new(), 0);
     let cores = (field(base, "cores"), field(new, "cores"));
@@ -116,22 +121,56 @@ fn compare(base: &str, new: &str, rules: &Rules) -> (Vec<String>, usize, Option<
 pub fn gate(baseline: Option<&str>, record: &str, quick: bool, path: &str, rules: &Rules) {
     let Some(file) = baseline else { return };
     let Some(base) = mode_record(file, quick) else {
-        println!("no baseline record (quick={quick}) in {path}; gate skipped");
+        eprintln!("no baseline record (quick={quick}) in {path}; gate skipped");
         return;
     };
     let (failures, passed, skipped) = compare(base, record, rules);
     if let Some(why) = skipped {
-        println!("WARNING: {why}");
+        eprintln!("WARNING: {why}");
     }
+    verdict(&failures, &format!("{passed} field(s)"), path);
+}
+
+/// Prints the gate's verdict; exits 1 if there are `failures`.
+fn verdict(failures: &[String], checked: &str, path: &str) {
     if failures.is_empty() {
-        println!("regression gate: ok ({passed} field(s) checked against {path})");
+        eprintln!("regression gate: ok ({checked} checked against {path})");
     } else {
         eprintln!("regression gate FAILED against {path}:");
-        for f in &failures {
+        for f in failures {
             eprintln!("  {f}");
         }
         std::process::exit(1);
     }
+}
+
+/// Rewrites the text record at `path` with `fresh` and gates it against
+/// the file as it was before the run (empty when there was none): the two
+/// must be identical. Exits 1 on any difference, listing the lines only
+/// the baseline has (`-`) and those only this run has (`+`).
+pub fn gate_text(path: &str, fresh: &str) {
+    let old = std::fs::read_to_string(path).unwrap_or_default();
+    std::fs::write(path, fresh).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    let lines = fresh.lines().count();
+    verdict(&text_diff(&old, fresh), &format!("{lines} line(s)"), path);
+}
+
+/// The lines that differ between `old` and `new`: `-line` for a line only
+/// `old` has, then `+line` for one only `new` has. Texts that differ only
+/// in line order or repetition yield one line saying so.
+fn text_diff(old: &str, new: &str) -> Vec<String> {
+    let only = |a: &str, b: &str, sign: char| -> Vec<String> {
+        a.lines()
+            .filter(|l| !b.lines().any(|m| m == *l))
+            .map(|l| format!("{sign}{l}"))
+            .collect()
+    };
+    let mut diff = only(old, new, '-');
+    diff.extend(only(new, old, '+'));
+    if diff.is_empty() && old != new {
+        diff.push("same lines in another order or number".into());
+    }
+    diff
 }
 
 /// `(label, text)` per labelled entry of a record, where an entry's text
@@ -228,6 +267,27 @@ mod tests {
             compare(junk, &full, &RULES);
         }
         assert!(compare(&full, &full, &RULES).0.is_empty());
+    }
+
+    #[test]
+    fn text_diff_names_every_changed_line() {
+        let base = "# map v1\nedge a 3\nedge b 1\n";
+        assert!(text_diff(base, base).is_empty());
+        // One count, one edge lost, one edge gained.
+        assert_eq!(
+            text_diff(base, "# map v1\nedge a 4\nedge b 1\n"),
+            ["-edge a 3", "+edge a 4"]
+        );
+        assert_eq!(text_diff(base, "# map v1\nedge a 3\n"), ["-edge b 1"]);
+        assert_eq!(
+            text_diff(base, "# map v1\nedge a 3\nedge b 1\nedge c 1\n"),
+            ["+edge c 1"]
+        );
+        // Nothing recorded yet: every line is new.
+        assert_eq!(text_diff("", base).len(), 3);
+        // Reordered or repeated lines still differ.
+        assert_eq!(text_diff(base, "# map v1\nedge b 1\nedge a 3\n").len(), 1);
+        assert_eq!(text_diff(base, &format!("{base}edge b 1\n")).len(), 1);
     }
 
     #[test]
