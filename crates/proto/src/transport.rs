@@ -28,8 +28,40 @@
 //! timeout), [`Transport::on_deliver`] on arrival (sending an ack and
 //! delivering whatever the outcome releases), [`Transport::on_ack`] on ack
 //! arrival, and [`Transport::on_timeout`] when a retransmission timer fires.
+//!
+//! # Channel layout
+//!
+//! Channels are found through a hash index from `(source, destination)` to
+//! a slot in a dense vector, one index per direction. Each channel is a
+//! sliding window over its sequence space, so every call above costs one
+//! index lookup plus O(1) work on the window:
+//!
+//! * **Sender:** `base` and a deque of slots for the sequences
+//!   `base..next_seq`, each holding the retransmission copy or `None` once
+//!   acked. The front slot is never `None`: an ack of the front pops every
+//!   acked slot behind it.
+//! * **Receiver:** `low` (every sequence below it has been delivered) and a
+//!   deque of slots for the sequences from `low` on: a delivered-bit in
+//!   non-FIFO mode, the held-back message in FIFO mode. The front slot is
+//!   always empty (sequence `low` has not arrived); an arrival that fills
+//!   it pops every filled slot behind it.
+//!
+//! The storage trade-off: an acked (or delivered) slot behind an unacked
+//! (or missing) front stays until the front is retired, so a window spans
+//! the oldest outstanding sequence to the newest one. A front message that
+//! is lost for good — possible only with `reliable = false` — therefore
+//! pins its channel's window, which then grows by one slot per later
+//! message on that channel.
+//!
+//! Determinism: the hash index uses a fixed multiply-shift hasher (no
+//! per-process random state), and no result depends on its iteration
+//! order. [`Transport::reset_src_range`] sorts the channels it visits into
+//! ascending `(source, destination)` order and replays each window in
+//! sequence order; the unacked counts are sums. Every decision is a pure
+//! function of the call sequence.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use cord_sim::Time;
 
@@ -73,8 +105,6 @@ impl Default for TransportConfig {
 /// runner so they ride run results).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct XportStats {
-    /// Messages tagged and sent (first transmissions).
-    pub sent: u64,
     /// Retransmissions issued.
     pub retransmits: u64,
     /// Retransmissions the receiver reported as duplicates (the original
@@ -82,10 +112,6 @@ pub struct XportStats {
     pub spurious_retransmits: u64,
     /// Duplicate deliveries suppressed at the receiver.
     pub dup_dropped: u64,
-    /// Arrivals held back for FIFO reassembly.
-    pub held_back: u64,
-    /// Highest attempt count observed for any single message.
-    pub max_attempts: u32,
     /// Send channels that entered a new session epoch (host transport
     /// resets × channels).
     pub sessions_reset: u64,
@@ -93,6 +119,62 @@ pub struct XportStats {
     pub replayed: u64,
     /// Arrivals rejected because they carried a stale session epoch.
     pub stale_rejected: u64,
+}
+
+/// Multiply-shift hasher for `(src, dst)` channel keys: the two `u32`
+/// writes pack into one word, which one multiply by an odd constant mixes;
+/// folding the high half down feeds the well-mixed bits to the table's
+/// bucket index. Fixed, so the index is the same in every process.
+#[derive(Default)]
+struct ChanHasher(u64);
+
+impl Hasher for ChanHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 << 8) | u64::from(b);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 << 32) | u64::from(n);
+    }
+
+    fn finish(&self) -> u64 {
+        let h = self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^ (h >> 32)
+    }
+}
+
+/// The channels of one direction: a hash index from `(src, dst)` to a slot
+/// in a dense vector that also records each channel's key.
+#[derive(Debug, Clone)]
+struct Channels<C> {
+    index: HashMap<(u32, u32), usize, BuildHasherDefault<ChanHasher>>,
+    slots: Vec<((u32, u32), C)>,
+}
+
+impl<C: Default> Channels<C> {
+    fn new() -> Self {
+        Channels {
+            index: HashMap::default(),
+            slots: Vec::new(),
+        }
+    }
+
+    fn get_mut(&mut self, key: (u32, u32)) -> Option<&mut C> {
+        let i = *self.index.get(&key)?;
+        Some(&mut self.slots[i].1)
+    }
+
+    /// The channel for `key`, created empty on first use.
+    fn entry(&mut self, key: (u32, u32)) -> &mut C {
+        let next = self.slots.len();
+        let i = *self.index.entry(key).or_insert(next);
+        if i == next {
+            self.slots.push((key, C::default()));
+        }
+        &mut self.slots[i].1
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -105,8 +187,22 @@ struct Unacked {
 struct SendChan {
     /// Current session epoch; bumped by a host transport reset.
     sess: u32,
-    next_seq: u64,
-    unacked: BTreeMap<u64, Unacked>,
+    /// Sequence number of `window[0]`.
+    base: u64,
+    /// Slots for the sequences `base..next_seq`: the retransmission copy,
+    /// or `None` once acked. The front slot is never `None`.
+    window: VecDeque<Option<Unacked>>,
+    /// `Some` slots in `window`.
+    live: usize,
+}
+
+impl SendChan {
+    /// The window slot of `seq`; `None` below `base` (acked) or at and
+    /// above `next_seq` (never sent).
+    fn slot_mut(&mut self, seq: u64) -> Option<&mut Option<Unacked>> {
+        let i = usize::try_from(seq.checked_sub(self.base)?).ok()?;
+        self.window.get_mut(i)
+    }
 }
 
 #[derive(Debug, Default, Clone)]
@@ -117,10 +213,21 @@ struct RecvChan {
     sess: u32,
     /// Every sequence below this has been delivered (FIFO: in order).
     low: u64,
-    /// Delivered sequences at or above `low` (non-FIFO mode).
-    above: BTreeSet<u64>,
-    /// Out-of-order arrivals awaiting the gap to fill (FIFO mode).
-    held: BTreeMap<u64, Msg>,
+    /// Non-FIFO mode: whether sequence `low + i` has been delivered. The
+    /// front is always `false`.
+    seen: VecDeque<bool>,
+    /// FIFO mode: the out-of-order arrival with sequence `low + i`, held
+    /// until the gap before it fills. The front is always `None`.
+    held: VecDeque<Option<Msg>>,
+}
+
+/// Widens `window` with empty slots until it holds index `i`, and returns
+/// that slot.
+fn slot_at<T: Default>(window: &mut VecDeque<T>, i: usize) -> &mut T {
+    if i >= window.len() {
+        window.resize_with(i + 1, T::default);
+    }
+    &mut window[i]
 }
 
 /// Receiver verdict for one arrival.
@@ -158,14 +265,14 @@ pub struct Replay {
 }
 
 /// Per-system transport state: one sender and one receiver channel per
-/// ordered (source tile, destination tile) pair. Deterministic by
-/// construction — all state lives in ordered maps and every decision is a
-/// pure function of the call sequence.
+/// ordered (source tile, destination tile) pair, each a sliding window
+/// found through a fixed-hash index (see the module docs for the layout
+/// and why no result depends on hash order).
 #[derive(Debug, Clone)]
 pub struct Transport {
     cfg: TransportConfig,
-    send: BTreeMap<(u32, u32), SendChan>,
-    recv: BTreeMap<(u32, u32), RecvChan>,
+    send: Channels<SendChan>,
+    recv: Channels<RecvChan>,
     stats: XportStats,
 }
 
@@ -174,8 +281,8 @@ impl Transport {
     pub fn new(cfg: TransportConfig) -> Self {
         Transport {
             cfg,
-            send: BTreeMap::new(),
-            recv: BTreeMap::new(),
+            send: Channels::new(),
+            recv: Channels::new(),
             stats: XportStats::default(),
         }
     }
@@ -192,7 +299,7 @@ impl Transport {
 
     /// Messages currently awaiting acknowledgment (diagnostics).
     pub fn unacked_total(&self) -> usize {
-        self.send.values().map(|c| c.unacked.len()).sum()
+        self.send.slots.iter().map(|(_, c)| c.live).sum()
     }
 
     /// Messages awaiting acknowledgment on channels sourced at tile `src`
@@ -200,8 +307,10 @@ impl Transport {
     /// fully drained when this reaches zero).
     pub fn unacked_from(&self, src: u32) -> usize {
         self.send
-            .range((src, 0)..(src + 1, 0))
-            .map(|(_, c)| c.unacked.len())
+            .slots
+            .iter()
+            .filter(|((s, _), _)| *s == src)
+            .map(|(_, c)| c.live)
             .sum()
     }
 
@@ -211,18 +320,14 @@ impl Transport {
     /// number; the runner schedules the first [`Transport::on_timeout`] at
     /// `now + config().rto` (when `reliable`).
     pub fn wrap(&mut self, src: u32, dst: u32, msg: &mut Msg) -> (u32, u64) {
-        let chan = self.send.entry((src, dst)).or_default();
-        let seq = chan.next_seq;
-        chan.next_seq += 1;
+        let chan = self.send.entry((src, dst));
+        let seq = chan.base + chan.window.len() as u64;
         msg.bytes += SEQ_BYTES;
-        chan.unacked.insert(
-            seq,
-            Unacked {
-                msg: msg.clone(),
-                attempts: 1,
-            },
-        );
-        self.stats.sent += 1;
+        chan.window.push_back(Some(Unacked {
+            msg: msg.clone(),
+            attempts: 1,
+        }));
+        chan.live += 1;
         (chan.sess, seq)
     }
 
@@ -231,18 +336,25 @@ impl Transport {
     /// epoch — in-flight acks and retransmission timers from the old
     /// session become stale, per-message attempt counts reset — and every
     /// unacked message is replayed into the new session under its original
-    /// sequence number. Returns the replays for the runner to retransmit.
+    /// sequence number. Returns the replays for the runner to retransmit,
+    /// in ascending `(src, dst, seq)` order.
     pub fn reset_src_range(&mut self, src_lo: u32, src_hi: u32) -> Vec<Replay> {
+        let mut hit: Vec<usize> = (0..self.send.slots.len())
+            .filter(|&i| (src_lo..src_hi).contains(&self.send.slots[i].0 .0))
+            .collect();
+        hit.sort_unstable_by_key(|&i| self.send.slots[i].0);
         let mut out = Vec::new();
-        for (&(src, dst), chan) in self.send.range_mut((src_lo, 0)..(src_hi, 0)) {
+        for i in hit {
+            let ((src, dst), chan) = &mut self.send.slots[i];
             chan.sess += 1;
             self.stats.sessions_reset += 1;
-            for (&seq, u) in chan.unacked.iter_mut() {
+            for (seq, slot) in (chan.base..).zip(chan.window.iter_mut()) {
+                let Some(u) = slot else { continue };
                 u.attempts = 1;
                 self.stats.replayed += 1;
                 out.push(Replay {
-                    src,
-                    dst,
+                    src: *src,
+                    dst: *dst,
                     sess: chan.sess,
                     seq,
                     msg: u.msg.clone(),
@@ -255,7 +367,7 @@ impl Transport {
     /// Handles the arrival of sequence `seq` tagged with session `sess` on
     /// the `(src, dst)` channel.
     pub fn on_deliver(&mut self, src: u32, dst: u32, sess: u32, seq: u64, msg: Msg) -> RecvOutcome {
-        let chan = self.recv.entry((src, dst)).or_default();
+        let chan = self.recv.entry((src, dst));
         if sess < chan.sess {
             self.stats.stale_rejected += 1;
             return RecvOutcome::Stale;
@@ -263,31 +375,33 @@ impl Transport {
         // Adopt a newer session (the sender's transport reset): sequence
         // numbering continues across sessions, so dedup/FIFO state carries.
         chan.sess = sess;
-        if seq < chan.low {
+        let Some(i) = seq.checked_sub(chan.low) else {
             self.stats.dup_dropped += 1;
             return RecvOutcome::Duplicate;
-        }
+        };
+        let i = usize::try_from(i).expect("sequence window exceeds the address space");
         if self.cfg.fifo {
-            if chan.held.contains_key(&seq) {
+            let slot = slot_at(&mut chan.held, i);
+            if slot.is_some() {
                 self.stats.dup_dropped += 1;
                 return RecvOutcome::Duplicate;
             }
-            chan.held.insert(seq, msg);
+            *slot = Some(msg);
             let mut out = Vec::new();
-            while let Some(m) = chan.held.remove(&chan.low) {
-                out.push(m);
+            while let Some(Some(_)) = chan.held.front() {
+                out.extend(chan.held.pop_front().flatten());
                 chan.low += 1;
-            }
-            if out.is_empty() {
-                self.stats.held_back += 1;
             }
             RecvOutcome::Deliver(out)
         } else {
-            if !chan.above.insert(seq) {
+            let slot = slot_at(&mut chan.seen, i);
+            if *slot {
                 self.stats.dup_dropped += 1;
                 return RecvOutcome::Duplicate;
             }
-            while chan.above.remove(&chan.low) {
+            *slot = true;
+            while chan.seen.front() == Some(&true) {
+                chan.seen.pop_front();
                 chan.low += 1;
             }
             RecvOutcome::Deliver(vec![msg])
@@ -300,21 +414,24 @@ impl Transport {
     /// replayed the message, so only the new session's delivery may retire
     /// it. Returns `true` if this retired an outstanding message.
     pub fn on_ack(&mut self, src: u32, dst: u32, sess: u32, seq: u64, dup: bool) -> bool {
-        let Some(chan) = self.send.get_mut(&(src, dst)) else {
+        let Some(chan) = self.send.get_mut((src, dst)) else {
             return false;
         };
         if sess != chan.sess {
             return false;
         }
-        match chan.unacked.remove(&seq) {
-            Some(u) => {
-                if dup && u.attempts > 1 {
-                    self.stats.spurious_retransmits += 1;
-                }
-                true
-            }
-            None => false, // already retired by an earlier ack
+        let Some(u) = chan.slot_mut(seq).and_then(Option::take) else {
+            return false; // already retired by an earlier ack, or never sent
+        };
+        if dup && u.attempts > 1 {
+            self.stats.spurious_retransmits += 1;
         }
+        chan.live -= 1;
+        while let Some(None) = chan.window.front() {
+            chan.window.pop_front();
+            chan.base += 1;
+        }
+        true
     }
 
     /// Handles a retransmission timer for sequence `seq` armed in session
@@ -333,14 +450,13 @@ impl Transport {
         if !self.cfg.reliable {
             return None;
         }
-        let chan = self.send.get_mut(&(src, dst))?;
+        let chan = self.send.get_mut((src, dst))?;
         if sess != chan.sess {
             return None;
         }
-        let u = chan.unacked.get_mut(&seq)?;
+        let u = chan.slot_mut(seq)?.as_mut()?;
         u.attempts += 1;
         self.stats.retransmits += 1;
-        self.stats.max_attempts = self.stats.max_attempts.max(u.attempts);
         let exp = (u.attempts - 1).min(self.cfg.max_backoff_exp);
         let delay = Time::from_ps(self.cfg.rto.as_ps() << exp);
         Some((u.msg.clone(), u.attempts, delay))
@@ -435,7 +551,7 @@ mod tests {
         assert_eq!(x.wrap(0, 8, &mut m2), (0, 1));
         assert_eq!(x.wrap(8, 0, &mut msg(3).clone()), (0, 0)); // independent channel
         assert_eq!(x.unacked_total(), 3);
-        assert_eq!(x.stats().sent, 3);
+        assert_eq!((x.unacked_from(0), x.unacked_from(8)), (2, 1));
     }
 
     #[test]
@@ -470,7 +586,6 @@ mod tests {
             x.on_deliver(0, 8, 0, s0, a.clone()),
             RecvOutcome::Deliver(vec![a])
         );
-        assert_eq!(x.stats().held_back, 0);
     }
 
     #[test]
@@ -491,7 +606,6 @@ mod tests {
             x.on_deliver(0, 8, 0, s1, b.clone()),
             RecvOutcome::Deliver(vec![])
         );
-        assert_eq!(x.stats().held_back, 2);
         // The gap fills: everything releases in sequence order.
         assert_eq!(
             x.on_deliver(0, 8, 0, s0, a.clone()),
@@ -516,14 +630,13 @@ mod tests {
         let (_, a2, d2) = x.on_timeout(0, 8, 0, seq).unwrap();
         assert_eq!((a2, d2), (3, Time::from_ns(400)));
         // Backoff caps at rto << 2.
-        let (_, _, d3) = x.on_timeout(0, 8, 0, seq).unwrap();
-        assert_eq!(d3, Time::from_ns(400));
+        let (_, a3, d3) = x.on_timeout(0, 8, 0, seq).unwrap();
+        assert_eq!((a3, d3), (4, Time::from_ns(400)));
         assert!(x.on_ack(0, 8, 0, seq, true));
         assert!(!x.on_ack(0, 8, 0, seq, false)); // stale ack
         assert!(x.on_timeout(0, 8, 0, seq).is_none()); // stale timer
         assert_eq!(x.stats().retransmits, 3);
         assert_eq!(x.stats().spurious_retransmits, 1);
-        assert_eq!(x.stats().max_attempts, 4);
         assert_eq!(x.unacked_total(), 0);
     }
 
@@ -614,6 +727,42 @@ mod tests {
         // Host 1's channel kept its session and timers.
         assert!(x.on_timeout(9, 0, 0, 0).is_some());
         assert_eq!(x.wrap(9, 0, &mut msg(4).clone()).0, 0);
+    }
+
+    #[test]
+    fn windows_shrink_to_nothing_once_the_front_retires() {
+        const LATER: u64 = 10_000;
+        for fifo in [false, true] {
+            let mut x = Transport::new(TransportConfig {
+                fifo,
+                ..TransportConfig::default()
+            });
+            let mut front = msg(0);
+            let (_, s0) = x.wrap(0, 8, &mut front);
+            for tid in 1..=LATER {
+                let mut m = msg(tid);
+                let (_, seq) = x.wrap(0, 8, &mut m);
+                assert!(matches!(
+                    x.on_deliver(0, 8, 0, seq, m),
+                    RecvOutcome::Deliver(_)
+                ));
+                assert!(x.on_ack(0, 8, 0, seq, false));
+            }
+            // Acked and delivered holes stay behind the outstanding front.
+            assert_eq!(x.unacked_total(), 1);
+            assert_eq!(x.send.slots[0].1.window.len(), LATER as usize + 1);
+            let RecvOutcome::Deliver(out) = x.on_deliver(0, 8, 0, s0, front) else {
+                panic!("the front arrival must deliver");
+            };
+            assert_eq!(out.len(), if fifo { LATER as usize + 1 } else { 1 });
+            assert!(x.on_ack(0, 8, 0, s0, false));
+            let (send, recv) = (&x.send.slots[0].1, &x.recv.slots[0].1);
+            assert_eq!(send.window.len(), 0);
+            assert_eq!((send.base, send.live), (LATER + 1, 0));
+            assert_eq!((recv.seen.len(), recv.held.len()), (0, 0));
+            assert_eq!(recv.low, LATER + 1);
+            assert_eq!(x.unacked_total(), 0);
+        }
     }
 
     #[test]
